@@ -8,99 +8,48 @@ with a self-rectifying loss over (anomaly, normal) video pairs, and
 evaluation reports frame-level ROC AUC.
 """
 
-from .config import HyperParams, RunConfig, TrainConfig
-from .coupler import CouplerParams, fuse, segment_level_selection, video_level_selection
+from .config import HyperParams, TrainConfig
 from .data import (
     Dataset,
     SynthSpec,
     VideoFeatures,
     load_dataset,
-    merge_datasets,
-    read_feature,
     segment_boundaries,
     synthesize_dataset,
-    write_feature,
 )
-from .evaluation import EvalReport, evaluate, expand_to_frames, kfold, roc_auc
-from .human import HumanStreamParams, feature_magnitude, relation_model, select_tracklets, tracklet_rank
-from .losses import (
-    BagPair,
-    PseudoLabels,
-    classical_ranking_loss,
-    context_loss,
-    instance_loss,
-    pseudo_labels,
-    self_rectifying_loss,
-)
+from .evaluation import EvalReport, evaluate, roc_auc
+from .losses import BagPair, classical_ranking_loss, pseudo_labels, self_rectifying_loss
 from .model import AnomalyScorer, ScoreBundle
-from .scene import SceneStreamParams, bottleneck, mgtm_forward, scene_rank, temporal_downscale
-from .tensor import (
-    Tape,
-    Tensor,
-    affine,
-    backward,
-    concat,
-    conv1d,
-    grad_check,
-    lstm_forward,
-    pool,
-)
-from .training import Adam, TrainResult, train, train_step
+from .tensor import Tensor, affine, backward, conv1d, grad_check, lstm_forward, pool
+from .training import TrainResult, train
 
 __all__ = [
-    "Adam",
     "AnomalyScorer",
     "BagPair",
-    "CouplerParams",
     "Dataset",
     "EvalReport",
-    "HumanStreamParams",
     "HyperParams",
-    "PseudoLabels",
-    "RunConfig",
-    "SceneStreamParams",
     "ScoreBundle",
     "SynthSpec",
-    "Tape",
     "Tensor",
     "TrainConfig",
     "TrainResult",
     "VideoFeatures",
     "affine",
     "backward",
-    "bottleneck",
     "classical_ranking_loss",
-    "concat",
-    "context_loss",
     "conv1d",
     "evaluate",
-    "expand_to_frames",
-    "feature_magnitude",
-    "fuse",
     "grad_check",
-    "instance_loss",
-    "kfold",
     "load_dataset",
     "lstm_forward",
-    "merge_datasets",
-    "mgtm_forward",
     "pool",
     "pseudo_labels",
-    "read_feature",
-    "relation_model",
     "roc_auc",
-    "scene_rank",
     "segment_boundaries",
-    "segment_level_selection",
-    "select_tracklets",
     "self_rectifying_loss",
     "synthesize_dataset",
-    "temporal_downscale",
-    "tracklet_rank",
     "train",
-    "train_step",
-    "video_level_selection",
-    "write_feature",
 ]
 
 __version__ = "0.1.0"

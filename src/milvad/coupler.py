@@ -18,7 +18,7 @@ import numpy as np
 from .config import HyperParams
 from .errors import InputError
 from .layers import LinearParams
-from .tensor import Tensor, add, concat, mul, pool
+from .tensor import Tensor, add, concatenate, mul, pool
 
 __all__ = [
     "CouplerParams",
@@ -47,9 +47,9 @@ class SelectionBlockParams:
 
     def attend(self, human_map: Tensor, scene_map: Tensor) -> tuple[Tensor, Tensor]:
         """Rows -> two attention values per row, each in (0,1)."""
-        joint = concat(
-            self.latent_human.apply(human_map, "relu"),
-            self.latent_scene.apply(scene_map, "relu"),
+        joint = concatenate(
+            [self.latent_human.apply(human_map, "relu"),
+             self.latent_scene.apply(scene_map, "relu")],
             axis=1,
         )
         rows = joint.shape[0]

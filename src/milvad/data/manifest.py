@@ -26,7 +26,7 @@ is (T, k, n) where k may differ per video.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +50,6 @@ class VideoFeatures:
     scene: dict[int, np.ndarray]      # granularity -> (G*T, n)
     tracklets: np.ndarray             # (T, k, n); k >= 0
     annotations: np.ndarray | None = None    # (frames,) of {0,1}
-    tracklet_ids: list = field(default_factory=list)
 
     @property
     def segments(self) -> int:
@@ -59,15 +58,6 @@ class VideoFeatures:
     @property
     def channels(self) -> int:
         return self.scene[1].shape[1]
-
-    @property
-    def tracklet_count(self) -> int:
-        return self.tracklets.shape[1]
-
-    @property
-    def tracklet_mask(self) -> np.ndarray:
-        """(T, k) validity mask; absent tracklets hold zero feature vectors."""
-        return np.any(self.tracklets != 0.0, axis=2)
 
     def is_anomaly(self) -> bool:
         return self.label == "anomaly"
@@ -169,7 +159,6 @@ def _load_record(record: dict, base: Path) -> VideoFeatures:
         scene=scene,
         tracklets=tracklets,
         annotations=annotations,
-        tracklet_ids=list(record.get("tracklet_ids", range(tracklets.shape[1]))),
     )
 
 

@@ -46,7 +46,6 @@ class SynthSpec:
     frames_per_segment: int = 10
     channels: int = 16             # n
     tracklets: int = 4             # k
-    selected_hint: int = 2         # suggested k^s for training configs
     kind: str = "scene"            # scene | human | mixed
     duration_range: tuple[float, float] = (0.3, 0.7)   # span as fraction of T
     magnitude: float = 2.0

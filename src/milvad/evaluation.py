@@ -13,6 +13,7 @@ from .data.manifest import Dataset, VideoFeatures
 from .data.segments import segment_boundaries
 from .errors import InputError, MetricUndefinedError
 from .model import AnomalyScorer
+from .training import train
 
 __all__ = ["EvalReport", "expand_to_frames", "roc_auc", "evaluate", "kfold"]
 
@@ -80,16 +81,9 @@ def roc_auc(scores, labels) -> float:
         raise MetricUndefinedError(
             f"AUC needs both classes, got {positives} positives / {negatives} negatives"
         )
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average 1-based rank
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # a tie group's average 1-based rank: its last rank minus half its extra members
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     positive_rank_sum = ranks[labels == 1].sum()
     return float(
         (positive_rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
@@ -98,8 +92,8 @@ def roc_auc(scores, labels) -> float:
 
 def _frame_scores(model: AnomalyScorer, video: VideoFeatures, head: str,
                   use_video_selection: bool) -> np.ndarray:
-    bundle = model.score_video(video, use_video_selection)
-    return expand_to_frames(bundle.head(head), video.frames)
+    scores = model.forward(video, head, use_video_selection)[head]
+    return expand_to_frames(scores.data, video.frames)
 
 
 def _frame_labels(video: VideoFeatures) -> np.ndarray:
@@ -196,8 +190,6 @@ def kfold(dataset: Dataset, hyper: HyperParams, cfg: TrainConfig, k: int = 5,
         train_videos = [v for j, f in enumerate(folds) if j != fold_index for v in f]
         fold_seed = int(np.random.default_rng([seed, fold_index]).integers(2 ** 31))
         model = AnomalyScorer(hyper, seed=fold_seed)
-        from .training import train  # local import to avoid a module cycle
-
         train(model, Dataset(train_videos), replace(cfg, seed=fold_seed))
         fold_aucs.append(
             evaluate(model, Dataset(held_out), head, cfg.use_video_selection).overall_auc

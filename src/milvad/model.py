@@ -1,4 +1,4 @@
-"""Full two-stream anomaly scorer: parameters, forward paths, checkpoints."""
+"""Full two-stream anomaly scorer: parameters, the forward pass, checkpoints."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import HyperParams
+from .config import HEADS, HyperParams, RunConfig
 from .coupler import CouplerParams, fuse, segment_level_selection, video_level_selection
 from .data.container import read_feature, write_feature
 from .data.manifest import VideoFeatures
@@ -31,15 +31,6 @@ class ScoreBundle:
     human_factor: np.ndarray    # coupler selection factor for the human stream
     fused: np.ndarray           # coupled final score, in [0,2]
 
-    def head(self, name: str) -> np.ndarray:
-        if name == "fused":
-            return self.fused
-        if name == "scene":
-            return self.scene
-        if name == "tracklet":
-            return self.tracklet
-        raise InputError(f"unknown score head {name!r}")
-
 
 class AnomalyScorer:
     """Scene stream + human stream + soft-selection coupler."""
@@ -51,6 +42,7 @@ class AnomalyScorer:
         self.scene = SceneStreamParams.create(rng, hyper)
         self.human = HumanStreamParams.create(rng, hyper)
         self.coupler = CouplerParams.create(rng, hyper)
+        self.set_trainable(())  # training unfreezes its phase's groups
 
     # -- parameters -----------------------------------------------------
 
@@ -76,7 +68,7 @@ class AnomalyScorer:
                 t.requires_grad = flag
                 t.grad = None
 
-    # -- forward paths ----------------------------------------------------
+    # -- forward ----------------------------------------------------------
 
     def _check_video(self, video: VideoFeatures) -> None:
         hp = self.hyper
@@ -89,51 +81,38 @@ class AnomalyScorer:
                 f"video {video.video_id}: {video.channels} channels, model expects {hp.channels}"
             )
 
-    def scene_scores_t(self, video: VideoFeatures) -> Tensor:
-        self._check_video(video)
-        scores, _ = scene_forward(self.scene, video.scene)
-        return scores
+    def forward(self, video: VideoFeatures, head: str = "fused",
+                use_video_selection: bool = True) -> dict[str, Tensor]:
+        """Score tensors for one video, building only what `head` needs.
 
-    def tracklet_scores_t(self, video: VideoFeatures) -> Tensor:
+        "scene" and "tracklet" run one stream and return that key alone;
+        "fused" runs both streams and the coupler and returns every
+        ScoreBundle key.
+        """
+        if head not in HEADS:
+            raise InputError(f"unknown score head {head!r}; expected one of {HEADS}")
         self._check_video(video)
-        scores, _ = human_forward(self.human, video.tracklets, self.hyper.selected_tracklets)
-        return scores
-
-    def forward(self, video: VideoFeatures, use_video_selection: bool = True) -> dict[str, Tensor]:
-        """All heads for one video as graph tensors (keys mirror ScoreBundle)."""
-        self._check_video(video)
-        scene_scores, scene_map = scene_forward(self.scene, video.scene)
-        tracklet_scores, human_map = human_forward(
-            self.human, video.tracklets, self.hyper.selected_tracklets
-        )
-        seg_h, seg_s, pooled = segment_level_selection(human_map, scene_map, self.coupler)
-        video_attn = (
-            video_level_selection(pooled, scene_map, self.coupler)
-            if use_video_selection
-            else None
-        )
-        factor_h, factor_s, fused = fuse((seg_h, seg_s), video_attn, tracklet_scores, scene_scores)
-        return {
-            "scene": scene_scores,
-            "tracklet": tracklet_scores,
-            "human_factor": factor_h,
-            "scene_factor": factor_s,
-            "fused": fused,
-        }
-
-    def head_scores_t(self, video: VideoFeatures, head: str,
-                      use_video_selection: bool = True) -> Tensor:
-        """The (T,) score tensor for one head, building only what it needs."""
-        if head == "scene":
-            return self.scene_scores_t(video)
-        if head == "tracklet":
-            return self.tracklet_scores_t(video)
+        out: dict[str, Tensor] = {}
+        if head != "tracklet":
+            out["scene"], scene_map = scene_forward(self.scene, video.scene)
+        if head != "scene":
+            out["tracklet"], human_map = human_forward(
+                self.human, video.tracklets, self.hyper.selected_tracklets
+            )
         if head == "fused":
-            return self.forward(video, use_video_selection)["fused"]
-        raise InputError(f"unknown score head {head!r}")
+            seg_h, seg_s, pooled = segment_level_selection(human_map, scene_map, self.coupler)
+            video_attn = (
+                video_level_selection(pooled, scene_map, self.coupler)
+                if use_video_selection
+                else None
+            )
+            out["human_factor"], out["scene_factor"], out["fused"] = fuse(
+                (seg_h, seg_s), video_attn, out["tracklet"], out["scene"]
+            )
+        return out
 
     def score_video(self, video: VideoFeatures, use_video_selection: bool = True) -> ScoreBundle:
-        out = self.forward(video, use_video_selection)
+        out = self.forward(video, "fused", use_video_selection)
         return ScoreBundle(
             scene=out["scene"].data.copy(),
             tracklet=out["tracklet"].data.copy(),
@@ -173,7 +152,10 @@ class AnomalyScorer:
             raise InputError(
                 f"{index_path}: unsupported checkpoint version {doc.get('format_version')}"
             )
-        model = cls(HyperParams(**doc["hyper"]))
+        for section in ("hyper", "tensors"):
+            if section not in doc:
+                raise InputError(f"{index_path}: checkpoint index has no {section!r} section")
+        model = cls(RunConfig.from_dict({"hyper": doc["hyper"]}, source=str(index_path)).hyper)
         params = model.named_parameters()
         if set(params) != set(doc["tensors"]):
             missing = sorted(set(params) ^ set(doc["tensors"]))

@@ -16,7 +16,7 @@ import numpy as np
 from .config import HyperParams
 from .errors import InputError
 from .layers import ConvParams, LstmParams, RankerParams
-from .tensor import Tensor, adaptive_mean_rows, concat, relu
+from .tensor import Tensor, adaptive_mean_rows, concatenate, relu
 
 # kernel sizes / dilations of the two downscaler convolutions
 DOWNSCALER_LAYOUT = ((5, 4), (3, 8))
@@ -99,10 +99,10 @@ def mgtm_forward(f_base: Tensor, f_mid: Tensor, f_fine: Tensor,
         raise InputError(
             f"granularity maps must be (T,n)/(2T,n)/(3T,n); got {f_base.shape}, {f_mid.shape}, {f_fine.shape}"
         )
-    level1 = concat(temporal_downscale(f_fine, 2 * t, params.down1),
-                    bottleneck(f_mid, params.bottleneck_mid), axis=1)
-    level2 = concat(temporal_downscale(level1, t, params.down2),
-                    bottleneck(f_base, params.bottleneck_base), axis=1)
+    level1 = concatenate([temporal_downscale(f_fine, 2 * t, params.down1),
+                          bottleneck(f_mid, params.bottleneck_mid)], axis=1)
+    level2 = concatenate([temporal_downscale(level1, t, params.down2),
+                          bottleneck(f_base, params.bottleneck_base)], axis=1)
     return params.lstm.apply(level2)
 
 

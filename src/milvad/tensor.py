@@ -53,9 +53,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -349,11 +346,6 @@ def concatenate(tensors, axis: int) -> Tensor:
         return tuple(np.split(g, splits, axis=ax))
 
     return _record(data, tensors, vjp)
-
-
-def concat(a, b, axis: int) -> Tensor:
-    """Join two tensors along `axis`; backward splits the gradient."""
-    return concatenate([a, b], axis)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:

@@ -63,8 +63,8 @@ def pair_loss(model: AnomalyScorer, anomaly: VideoFeatures, normal: VideoFeature
               cfg: TrainConfig, head: str) -> Tensor:
     """Forward both videos through the chosen head and apply the configured loss."""
     bags = BagPair(
-        anomaly=model.head_scores_t(anomaly, head, cfg.use_video_selection),
-        normal=model.head_scores_t(normal, head, cfg.use_video_selection),
+        anomaly=model.forward(anomaly, head, cfg.use_video_selection)[head],
+        normal=model.forward(normal, head, cfg.use_video_selection)[head],
     )
     if cfg.loss == "classical_ranking":
         return classical_ranking_loss(bags)
@@ -126,7 +126,9 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
     human stream, then the coupler with both streams frozen. Joint mode
     trains everything against the configured head at once. Each step
     samples one anomaly and one normal video uniformly with the seeded
-    generator; identical seeds give identical loss traces.
+    generator; identical seeds give identical loss traces. The model
+    leaves with every parameter frozen, even when training raises, so
+    scoring records no graph.
     """
     cfg.validate()
     anomalies, normals = dataset.anomalies(), dataset.normals()
@@ -137,16 +139,19 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(losses=[], phase_boundaries=[])
     split = (anomalies, normals)
-    if cfg.schedule == "joint":
-        result.phase_boundaries.append((0, "joint"))
-        result.log_lines.append(f"phase joint start step=0 head={cfg.head}")
-        _run_phase(model, split, cfg, "joint", cfg.head, ("scene", "human", "coupler"),
-                   cfg.steps, rng, 0, result)
-    else:
-        offset = 0
-        for (name, groups, head), steps in zip(STAGES, _stage_steps(cfg)):
-            result.phase_boundaries.append((offset, name))
-            result.log_lines.append(f"phase {name} start step={offset} head={head}")
-            offset = _run_phase(model, split, cfg, name, head, groups, steps, rng, offset, result)
-    model.set_trainable(("scene", "human", "coupler"))
+    try:
+        if cfg.schedule == "joint":
+            result.phase_boundaries.append((0, "joint"))
+            result.log_lines.append(f"phase joint start step=0 head={cfg.head}")
+            _run_phase(model, split, cfg, "joint", cfg.head, ("scene", "human", "coupler"),
+                       cfg.steps, rng, 0, result)
+        else:
+            offset = 0
+            for (name, groups, head), steps in zip(STAGES, _stage_steps(cfg)):
+                result.phase_boundaries.append((offset, name))
+                result.log_lines.append(f"phase {name} start step={offset} head={head}")
+                offset = _run_phase(model, split, cfg, name, head, groups, steps, rng, offset,
+                                    result)
+    finally:
+        model.set_trainable(())
     return result

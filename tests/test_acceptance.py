@@ -51,7 +51,7 @@ def bags(anomaly, normal):
 
 def synth(tmp_factory, name, **kw):
     spec = SynthSpec(segments=8, frames_per_segment=10, channels=16, tracklets=4,
-                     selected_hint=2, noise=0.5, **kw)
+                     noise=0.5, **kw)
     out = tmp_factory.mktemp(name)
     manifests = synthesize_dataset(spec, out)
     return load_dataset(manifests["train"]), load_dataset(manifests["test"]), out

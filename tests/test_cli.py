@@ -146,6 +146,24 @@ class TestEval:
         assert len(lines) == 40  # 8 segments * 5 frames
 
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["hyper"].update(depth=3),
+        lambda doc: doc.pop("hyper"),
+        lambda doc: doc.pop("tensors"),
+    ], ids=["unknown-hyper-key", "no-hyper", "no-tensors"])
+    def test_malformed_checkpoint_is_input_error(self, dataset_dir, trained_dir, tmp_path,
+                                                 corrupt, capsys):
+        index = trained_dir / "checkpoint.json"
+        doc = json.loads(index.read_text())
+        corrupt(doc)
+        bad = trained_dir / "bad_checkpoint.json"  # beside the payload it references
+        bad.write_text(json.dumps(doc))
+        code = main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == 0

@@ -103,6 +103,17 @@ class TestEvaluate:
         report = evaluate(model, test_ds)
         assert report.overall_auc == 0.5
 
+    def test_scene_head_ignores_human_and_coupler(self, tiny_scene_data):
+        _, test_ds, _ = tiny_scene_data
+        model = AnomalyScorer(DESK, seed=4)
+        before = evaluate(model, test_ds, head="scene")
+        for group in ("human", "coupler"):
+            for t in model.named_parameters(group).values():
+                t.data = np.zeros_like(t.data)
+        after = evaluate(model, test_ds, head="scene")
+        assert after.as_dict() == before.as_dict()
+        assert np.array_equal(after.scores, before.scores)
+
     def test_bookkeeping_totals(self, tiny_scene_data):
         _, test_ds, _ = tiny_scene_data
         model = AnomalyScorer(DESK, seed=1)

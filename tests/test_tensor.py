@@ -9,7 +9,6 @@ from milvad.tensor import (
     affine,
     adaptive_mean_rows,
     backward,
-    concat,
     concatenate,
     conv1d,
     grad_check,
@@ -159,22 +158,22 @@ class TestConcat:
     def test_channel_concat_shapes(self):
         a = Tensor(np.zeros((6, 4)))
         b = Tensor(np.zeros((6, 4)))
-        assert concat(a, b, axis=1).shape == (6, 8)
+        assert concatenate([a, b], axis=1).shape == (6, 8)
 
     def test_concat_with_empty_channel_tensor(self):
         a = Tensor(np.random.default_rng(6).normal(size=(2, 3)))
         empty = Tensor(np.zeros((2, 0)))
-        assert np.array_equal(concat(empty, a, axis=1).data, a.data)
+        assert np.array_equal(concatenate([empty, a], axis=1).data, a.data)
 
     def test_values_preserved_positionally(self):
         a = Tensor([[1.0], [2.0]])
         b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        y = concat(a, b, axis=1)
+        y = concatenate([a, b], axis=1)
         assert np.array_equal(y.data, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
 
     def test_extent_mismatch_rejected(self):
         with pytest.raises(InputError):
-            concat(Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))), axis=1)
+            concatenate([Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1)))], axis=1)
 
 
 class TestAdaptiveMeanRows:
