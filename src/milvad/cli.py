@@ -56,17 +56,10 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
-def _train_manifest(data_dir: Path) -> Path:
-    path = data_dir / "train_manifest.json"
+def _manifest(data_dir: Path, split: str) -> Path:
+    path = data_dir / f"{split}_manifest.json"
     if not path.exists():
-        raise MilvadError(f"{data_dir}: no train_manifest.json found")
-    return path
-
-
-def _test_manifest(data_dir: Path) -> Path:
-    path = data_dir / "test_manifest.json"
-    if not path.exists():
-        raise MilvadError(f"{data_dir}: no test_manifest.json found")
+        raise MilvadError(f"{data_dir}: no {path.name} found")
     return path
 
 
@@ -79,7 +72,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _run_training(cfg: RunConfig, data_dir: Path):
-    dataset = load_dataset(_train_manifest(data_dir))
+    dataset = load_dataset(_manifest(data_dir, "train"))
     model = AnomalyScorer(cfg.hyper, seed=cfg.train.seed)
     result = train(model, dataset, cfg.train)
     return model, result
@@ -102,16 +95,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt_path = Path(args.ckpt)
     model, doc = AnomalyScorer.load(ckpt_path)
-    stored = doc.get("train", {})
-    head = args.head or stored.get("head", "fused")
-    use_vls = stored.get("use_video_selection", True)
+    cfg = RunConfig.from_dict({"hyper": doc["hyper"], "train": doc.get("train", {})},
+                              source=str(ckpt_path))
+    head = args.head or cfg.train.head
+    use_vls = cfg.train.use_video_selection
     data_dir = Path(args.data)
-    test_ds = load_dataset(_test_manifest(data_dir))
+    test_ds = load_dataset(_manifest(data_dir, "test"))
     report = evaluate(model, test_ds, head=head, use_video_selection=use_vls)
     if args.kfold:
-        train_ds = load_dataset(_train_manifest(data_dir))
+        train_ds = load_dataset(_manifest(data_dir, "train"))
         pooled = merge_datasets(train_ds, test_ds)
-        cfg = RunConfig.from_dict({"hyper": doc["hyper"], "train": stored}) if stored else RunConfig.default_desk_scale()
         fold_report = kfold(pooled, cfg.hyper, cfg.train, k=args.kfold,
                             seed=cfg.train.seed, head=head)
         report.fold_aucs = fold_report.fold_aucs
@@ -139,7 +132,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_compare_loss(args) -> int:
     cfg = _load_run_config(args)
     data_dir = Path(args.data)
-    test_ds = load_dataset(_test_manifest(data_dir))
+    test_ds = load_dataset(_manifest(data_dir, "test"))
     aucs = {}
     for loss in LOSSES:
         run_cfg = RunConfig(hyper=cfg.hyper, train=replace(cfg.train, loss=loss))

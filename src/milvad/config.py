@@ -109,22 +109,51 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, source: str = "<config>") -> "RunConfig":
-        def build(section, cls_):
-            known = {f.name for f in fields(cls_)}
-            unknown = set(section) - known
-            if unknown:
-                raise InputError(f"{source}: unknown keys {sorted(unknown)}")
-            kwargs = dict(section)
-            for key in ("betas", "stage_fractions"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return cls_(**kwargs)
-
-        hyper = build(doc.get("hyper", {}), HyperParams)
-        train = build(doc.get("train", {}), TrainConfig)
+        if not isinstance(doc, dict):
+            raise InputError(f"{source}: config must be a JSON object")
         extra = set(doc) - {"hyper", "train"}
         if extra:
             raise InputError(f"{source}: unknown sections {sorted(extra)}")
+        hyper = decode(HyperParams, doc.get("hyper", {}), source)
+        train = decode(TrainConfig, doc.get("train", {}), source)
         hyper.validate()
         train.validate()
         return cls(hyper=hyper, train=train)
+
+
+def _decode_value(value, default, where: str):
+    """`value` checked against the type of `default`; a list becomes a tuple."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise InputError(f"{where} must be a list of {len(default)}, got {value!r}")
+        return tuple(_decode_value(v, d, f"{where}[{i}]")
+                     for i, (v, d) in enumerate(zip(value, default)))
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise InputError(f"{where} must be {type(default).__name__}, got {value!r}")
+    return value
+
+
+def decode(cls, doc, source: str):
+    """Build dataclass `cls` from a JSON object, rejecting unknown keys and mistyped values.
+
+    Each value must match the type of its field's default: a bool field
+    takes only a bool, an int field an int but not a bool, a float field
+    an int or a float, a str field a str, and a tuple field a list (or a
+    tuple) of the default's length whose entries follow the same rules.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{source}: {cls.__name__} must be a JSON object, got {doc!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(doc) - set(defaults)
+    if unknown:
+        raise InputError(f"{source}: unknown keys {sorted(unknown)}")
+    return cls(**{key: _decode_value(value, defaults[key], f"{source}: {key}")
+                  for key, value in doc.items()})

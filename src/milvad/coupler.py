@@ -57,17 +57,6 @@ class SelectionBlockParams:
         a_scene = self.head_scene.apply(joint, "sigmoid").reshape((rows,))
         return a_human, a_scene
 
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, layer in (
-            ("latent_human", self.latent_human),
-            ("latent_scene", self.latent_scene),
-            ("head_human", self.head_human),
-            ("head_scene", self.head_scene),
-        ):
-            out.update(layer.tensors(f"{prefix}.{name}"))
-        return out
-
 
 @dataclass
 class CouplerParams:
@@ -80,11 +69,6 @@ class CouplerParams:
             segment=SelectionBlockParams.create(rng, hp.ranker_width),
             video=SelectionBlockParams.create(rng, hp.ranker_width),
         )
-
-    def tensors(self, prefix: str = "coupler") -> dict[str, Tensor]:
-        out = self.segment.tensors(f"{prefix}.segment")
-        out.update(self.video.tensors(f"{prefix}.video"))
-        return out
 
 
 def segment_level_selection(

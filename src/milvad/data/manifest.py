@@ -118,22 +118,36 @@ def write_annotations(path, labels) -> None:
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
-def _load_record(record: dict, base: Path) -> VideoFeatures:
+def _entry(mapping: dict, key: str, kind: type, where: str):
+    """mapping[key], which must exist and be a `kind` (a bool is not an int)."""
+    if key not in mapping:
+        raise DatasetError(f"{where}: no {key!r} entry")
+    value = mapping[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetError(f"{where}: {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _load_record(record: dict, manifest_path: Path) -> VideoFeatures:
+    base = manifest_path.parent
     video_id = record.get("id", "<missing id>")
     label = record.get("label")
     if label not in LABELS:
         raise DatasetError(f"video {video_id}: label must be one of {LABELS}, got {label!r}")
-    frames = int(record["frames"])
+    where = f"{manifest_path}: video {video_id}"
+    frames = _entry(record, "frames", int, where)
+    scene_rels = _entry(record, "scene_features", dict, where)
+    tr_rel = _entry(record, "tracklet_features", str, where)
     scene: dict[int, np.ndarray] = {}
     for g in GRANULARITIES:
-        rel = record["scene_features"][str(g)]
+        rel = _entry(scene_rels, str(g), str, f"{where}: scene_features")
         scene[g] = read_feature(base / rel)
         if scene[g].ndim != 2:
             raise DatasetError(f"video {video_id}: scene map {rel} is not 2-D")
     t = scene[1].shape[0]
     n = scene[1].shape[1]
     for g in GRANULARITIES:
-        rel = record["scene_features"][str(g)]
+        rel = scene_rels[str(g)]
         if scene[g].shape[0] != g * t:
             raise DatasetError(
                 f"video {video_id}: scene map {rel} has length {scene[g].shape[0]}, expected {g * t}"
@@ -142,7 +156,6 @@ def _load_record(record: dict, base: Path) -> VideoFeatures:
             raise DatasetError(
                 f"video {video_id}: scene map {rel} has {scene[g].shape[1]} channels, expected {n}"
             )
-    tr_rel = record["tracklet_features"]
     tracklets = read_feature(base / tr_rel)
     if tracklets.ndim != 3 or tracklets.shape[0] != t or tracklets.shape[2] != n:
         raise DatasetError(
@@ -174,7 +187,7 @@ def load_dataset(manifest_path) -> Dataset:
         raise DatasetError(f"{manifest_path}: manifest does not parse: {exc}") from exc
     if doc.get("format_version") != MANIFEST_VERSION:
         raise DatasetError(f"{manifest_path}: unsupported manifest version {doc.get('format_version')}")
-    videos = [_load_record(rec, manifest_path.parent) for rec in doc.get("videos", [])]
+    videos = [_load_record(rec, manifest_path) for rec in doc.get("videos", [])]
     if videos:
         t, n = videos[0].segments, videos[0].channels
         for v in videos[1:]:

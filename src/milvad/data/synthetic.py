@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import decode
 from ..errors import InputError
 from .container import write_feature
 from .manifest import write_annotations, write_manifest
@@ -79,12 +80,7 @@ class SynthSpec:
             doc = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: spec does not parse: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise InputError(f"{path}: unknown spec fields {sorted(unknown)}")
-        spec = cls(**doc)
-        spec.duration_range = tuple(spec.duration_range)
+        spec = decode(cls, doc, str(path))
         spec.validate()
         return spec
 

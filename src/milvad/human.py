@@ -31,11 +31,6 @@ class HumanStreamParams:
             ranker=RankerParams.create(rng, hp.hidden_size, hp.ranker_width),
         )
 
-    def tensors(self, prefix: str = "human") -> dict[str, Tensor]:
-        out = self.lstm.tensors(f"{prefix}.lstm")
-        out.update(self.ranker.tensors(f"{prefix}.ranker"))
-        return out
-
 
 def feature_magnitude(tracklets: np.ndarray) -> np.ndarray:
     """Per-tracklet saliency: sum over segments of the L2 feature norm.

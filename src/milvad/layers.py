@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .tensor import Tensor, affine, conv1d, lstm_forward, uniform_param
+
+
+def named_tensors(params, prefix: str) -> dict[str, Tensor]:
+    """Every Tensor under a parameter dataclass, keyed by its dotted field path.
+
+    Fields that are neither a Tensor nor a dataclass (a conv's dilation)
+    are skipped; names follow field declaration order.
+    """
+    out: dict[str, Tensor] = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            out[f"{prefix}.{f.name}"] = value
+        elif is_dataclass(value):
+            out.update(named_tensors(value, f"{prefix}.{f.name}"))
+    return out
 
 
 @dataclass
@@ -23,9 +39,6 @@ class LinearParams:
 
     def apply(self, x: Tensor, activation: str = "none") -> Tensor:
         return affine(x, self.weight, self.bias, activation)
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 @dataclass
@@ -46,9 +59,6 @@ class ConvParams:
     def apply(self, x: Tensor) -> Tensor:
         return conv1d(x, self.weight, self.bias, dilation=self.dilation)
 
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
-
 
 @dataclass
 class LstmParams:
@@ -66,9 +76,6 @@ class LstmParams:
 
     def apply(self, seq: Tensor) -> Tensor:
         return lstm_forward(seq, self.wx, self.wh, self.bias)
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.wx": self.wx, f"{prefix}.wh": self.wh, f"{prefix}.bias": self.bias}
 
 
 @dataclass
@@ -96,9 +103,3 @@ class RankerParams:
         hidden = self.fc2.apply(self.fc1.apply(x, "relu"), "relu")
         scores = self.fc3.apply(hidden, "sigmoid")
         return scores.reshape((x.shape[0],)), hidden
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, layer in (("fc1", self.fc1), ("fc2", self.fc2), ("fc3", self.fc3)):
-            out.update(layer.tensors(f"{prefix}.{name}"))
-        return out

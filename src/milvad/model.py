@@ -14,6 +14,7 @@ from .data.container import read_feature, write_feature
 from .data.manifest import VideoFeatures
 from .errors import InputError
 from .human import HumanStreamParams, human_forward
+from .layers import named_tensors
 from .scene import SceneStreamParams, scene_forward
 from .tensor import Tensor
 
@@ -47,18 +48,12 @@ class AnomalyScorer:
     # -- parameters -----------------------------------------------------
 
     def named_parameters(self, group: str | None = None) -> dict[str, Tensor]:
+        """Tensors keyed by group plus dotted field path, e.g. scene.down1.conv1.weight."""
         if group is None:
-            out = self.scene.tensors()
-            out.update(self.human.tensors())
-            out.update(self.coupler.tensors())
-            return out
-        if group == "scene":
-            return self.scene.tensors()
-        if group == "human":
-            return self.human.tensors()
-        if group == "coupler":
-            return self.coupler.tensors()
-        raise InputError(f"unknown parameter group {group!r}; expected one of {PARAM_GROUPS}")
+            return {name: t for g in PARAM_GROUPS for name, t in self.named_parameters(g).items()}
+        if group not in PARAM_GROUPS:
+            raise InputError(f"unknown parameter group {group!r}; expected one of {PARAM_GROUPS}")
+        return named_tensors(getattr(self, group), group)
 
     def set_trainable(self, groups) -> None:
         """Flag exactly the given groups' tensors as requiring gradients."""

@@ -23,48 +23,42 @@ DOWNSCALER_LAYOUT = ((5, 4), (3, 8))
 
 
 @dataclass
+class DownscalerParams:
+    conv1: ConvParams   # c_in -> c_out
+    conv2: ConvParams   # c_out -> c_out
+
+    @classmethod
+    def create(cls, rng: np.random.Generator, c_in: int, c_out: int) -> "DownscalerParams":
+        (k1, d1), (k2, d2) = DOWNSCALER_LAYOUT
+        return cls(
+            conv1=ConvParams.create(rng, k1, c_in, c_out, dilation=d1),
+            conv2=ConvParams.create(rng, k2, c_out, c_out, dilation=d2),
+        )
+
+
+@dataclass
 class SceneStreamParams:
-    down1: tuple[ConvParams, ConvParams]   # 3T map -> 2T, input width n
-    down2: tuple[ConvParams, ConvParams]   # 2T pyramid level -> T, input width 2*n_c
-    bottleneck_mid: ConvParams             # pointwise on the 2T map
-    bottleneck_base: ConvParams            # pointwise on the T map
+    down1: DownscalerParams            # 3T map -> 2T, input width n
+    down2: DownscalerParams            # 2T pyramid level -> T, input width 2*n_c
+    bottleneck_mid: ConvParams         # pointwise on the 2T map
+    bottleneck_base: ConvParams        # pointwise on the T map
     lstm: LstmParams
     ranker: RankerParams
 
     @classmethod
     def create(cls, rng: np.random.Generator, hp: HyperParams) -> "SceneStreamParams":
         n, n_c = hp.channels, hp.conv_channels
-        (k1, d1), (k2, d2) = DOWNSCALER_LAYOUT
-
-        def downscaler(c_in):
-            return (
-                ConvParams.create(rng, k1, c_in, n_c, dilation=d1),
-                ConvParams.create(rng, k2, n_c, n_c, dilation=d2),
-            )
-
         return cls(
-            down1=downscaler(n),
-            down2=downscaler(2 * n_c),
+            down1=DownscalerParams.create(rng, n, n_c),
+            down2=DownscalerParams.create(rng, 2 * n_c, n_c),
             bottleneck_mid=ConvParams.create(rng, 1, n, n_c, dilation=1),
             bottleneck_base=ConvParams.create(rng, 1, n, n_c, dilation=1),
             lstm=LstmParams.create(rng, 2 * n_c, hp.hidden_size),
             ranker=RankerParams.create(rng, hp.hidden_size, hp.ranker_width),
         )
 
-    def tensors(self, prefix: str = "scene") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.down1[0].tensors(f"{prefix}.down1.conv1"))
-        out.update(self.down1[1].tensors(f"{prefix}.down1.conv2"))
-        out.update(self.down2[0].tensors(f"{prefix}.down2.conv1"))
-        out.update(self.down2[1].tensors(f"{prefix}.down2.conv2"))
-        out.update(self.bottleneck_mid.tensors(f"{prefix}.bottleneck_mid"))
-        out.update(self.bottleneck_base.tensors(f"{prefix}.bottleneck_base"))
-        out.update(self.lstm.tensors(f"{prefix}.lstm"))
-        out.update(self.ranker.tensors(f"{prefix}.ranker"))
-        return out
 
-
-def temporal_downscale(feature_map: Tensor, target_len: int, convs) -> Tensor:
+def temporal_downscale(feature_map: Tensor, target_len: int, convs: DownscalerParams) -> Tensor:
     """Shrink the temporal axis to `target_len` rows.
 
     Two same-length dilated convolutions (ReLU after each) widen the
@@ -77,8 +71,8 @@ def temporal_downscale(feature_map: Tensor, target_len: int, convs) -> Tensor:
         )
     if target_len < 1:
         raise InputError("target length must be >= 1")
-    x = relu(convs[0].apply(feature_map))
-    x = relu(convs[1].apply(x))
+    x = relu(convs.conv1.apply(feature_map))
+    x = relu(convs.conv2.apply(x))
     return adaptive_mean_rows(x, target_len)
 
 

@@ -10,10 +10,10 @@ from .config import TrainConfig
 from .data.manifest import Dataset, VideoFeatures
 from .errors import InputError
 from .losses import BagPair, classical_ranking_loss, self_rectifying_loss
-from .model import AnomalyScorer
+from .model import PARAM_GROUPS, AnomalyScorer
 from .tensor import Tensor, backward
 
-# (name, parameter group, score head) per staged phase
+# (name, parameter groups, score head) per staged phase
 STAGES = (
     ("scene", ("scene",), "scene"),
     ("human", ("human",), "tracklet"),
@@ -89,7 +89,7 @@ def _sample_pair(rng: np.random.Generator, anomalies, normals):
     return a, n
 
 
-def _run_phase(model, dataset_split, cfg, phase, head, groups, steps, rng, offset, result):
+def _run_phase(model, dataset_split, cfg, phase, groups, head, steps, rng, offset, result):
     anomalies, normals = dataset_split
     model.set_trainable(groups)
     optimizer = Adam(
@@ -139,19 +139,16 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(losses=[], phase_boundaries=[])
     split = (anomalies, normals)
+    if cfg.schedule == "joint":
+        phases = [("joint", PARAM_GROUPS, cfg.head, cfg.steps)]
+    else:
+        phases = [stage + (steps,) for stage, steps in zip(STAGES, _stage_steps(cfg))]
     try:
-        if cfg.schedule == "joint":
-            result.phase_boundaries.append((0, "joint"))
-            result.log_lines.append(f"phase joint start step=0 head={cfg.head}")
-            _run_phase(model, split, cfg, "joint", cfg.head, ("scene", "human", "coupler"),
-                       cfg.steps, rng, 0, result)
-        else:
-            offset = 0
-            for (name, groups, head), steps in zip(STAGES, _stage_steps(cfg)):
-                result.phase_boundaries.append((offset, name))
-                result.log_lines.append(f"phase {name} start step={offset} head={head}")
-                offset = _run_phase(model, split, cfg, name, head, groups, steps, rng, offset,
-                                    result)
+        offset = 0
+        for name, groups, head, steps in phases:
+            result.phase_boundaries.append((offset, name))
+            result.log_lines.append(f"phase {name} start step={offset} head={head}")
+            offset = _run_phase(model, split, cfg, name, groups, head, steps, rng, offset, result)
     finally:
         model.set_trainable(())
     return result

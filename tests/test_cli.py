@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -59,6 +60,34 @@ def trained_dir(dataset_dir, tmp_path_factory):
                  "--out", str(out / "run")])
     assert code == 0
     return out / "run"
+
+
+@pytest.mark.parametrize("kind, section, key, value", [
+    ("config", "hyper", "segments", "8"),
+    ("config", "hyper", "channels", True),
+    ("config", "train", "steps", 2.5),
+    ("config", "train", "betas", 0.9),
+    ("config", "train", "betas", ["0.9", 0.999]),
+    ("config", "train", "stage_fractions", [0.5, 0.5]),
+    ("config", "train", "normalize_context", "false"),
+    ("spec", None, "train_normal", "2"),
+    ("spec", None, "magnitude", "2"),
+    ("spec", None, "duration_range", 0.5),
+], ids=lambda v: repr(v) if isinstance(v, (list, bool, float)) else v)
+def test_mistyped_value_is_input_error(dataset_dir, tmp_path, capsys, kind, section, key, value):
+    if kind == "config":
+        path = write_config(tmp_path / "config.json")
+        doc = json.loads(path.read_text())
+        doc[section][key] = value
+        path.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(path), "--data", str(dataset_dir)]
+    else:
+        path = write_spec(tmp_path / "spec.json", **{key: value})
+        argv = ["gen-data", "--spec", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGenData:
@@ -162,6 +191,30 @@ class TestEval:
                      "--report", str(tmp_path / "r.json")])
         assert code == 1
         assert str(bad) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("corrupt, key", [
+        (lambda rec: rec.pop("frames"), "frames"),
+        (lambda rec: rec.update(frames="40"), "frames"),
+        (lambda rec: rec.update(frames=40.0), "frames"),
+        (lambda rec: rec.pop("tracklet_features"), "tracklet_features"),
+        (lambda rec: rec.pop("scene_features"), "scene_features"),
+        (lambda rec: rec["scene_features"].pop("2"), "'2'"),
+    ], ids=["no-frames", "string-frames", "float-frames", "no-tracklet-features",
+            "no-scene-features", "no-scene-granularity"])
+    def test_malformed_manifest_record_is_dataset_error(self, dataset_dir, trained_dir, tmp_path,
+                                                        corrupt, key, capsys):
+        data = shutil.copytree(dataset_dir, tmp_path / "ds")
+        manifest = data / "test_manifest.json"
+        doc = json.loads(manifest.read_text())
+        record = doc["videos"][1]
+        corrupt(record)
+        manifest.write_text(json.dumps(doc))
+        code = main(["eval", "--ckpt", str(trained_dir / "checkpoint.json"),
+                     "--data", str(data), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and record["id"] in err and key in err
 
 
 class TestGradcheck:

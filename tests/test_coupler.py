@@ -11,6 +11,7 @@ from milvad.coupler import (
     video_level_selection,
 )
 from milvad.errors import InputError
+from milvad.layers import named_tensors
 from milvad.tensor import Tensor, grad_check
 
 DESK = HyperParams.desk_scale()
@@ -22,7 +23,7 @@ def make_params(seed=0):
 
 
 def zero_all(params):
-    for t in params.tensors().values():
+    for t in named_tensors(params, "coupler").values():
         t.data = np.zeros_like(t.data)
     return params
 
@@ -159,6 +160,6 @@ class TestCouplerPipelineBounds:
 
     def test_selection_blocks_have_disjoint_parameters(self):
         params = make_params()
-        seg_ids = {id(t) for t in params.segment.tensors("s").values()}
-        vid_ids = {id(t) for t in params.video.tensors("v").values()}
+        seg_ids = {id(t) for t in named_tensors(params.segment, "s").values()}
+        vid_ids = {id(t) for t in named_tensors(params.video, "v").values()}
         assert not seg_ids & vid_ids

@@ -5,6 +5,7 @@ import pytest
 
 from milvad.config import HyperParams
 from milvad.errors import InputError
+from milvad.layers import named_tensors
 from milvad.human import (
     HumanStreamParams,
     feature_magnitude,
@@ -23,7 +24,7 @@ def make_params(hp=DESK, seed=0):
 
 
 def zero_all(params):
-    for t in params.tensors().values():
+    for t in named_tensors(params, "human").values():
         t.data = np.zeros_like(t.data)
     return params
 

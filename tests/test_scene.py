@@ -5,6 +5,7 @@ import pytest
 
 from milvad.config import HyperParams
 from milvad.errors import InputError
+from milvad.layers import named_tensors
 from milvad.scene import (
     SceneStreamParams,
     bottleneck,
@@ -25,7 +26,7 @@ def make_params(hp=DESK, seed=0):
 
 
 def zero_all(params):
-    for t in params.tensors().values():
+    for t in named_tensors(params, "scene").values():
         t.data = np.zeros_like(t.data)
     return params
 
@@ -186,7 +187,7 @@ class TestSceneInvariants:
 
         perm = rng.permutation(hp.channels)
         permuted_maps = {g: maps[g][:, perm] for g in (1, 2, 3)}
-        for conv in (params.down1[0], params.bottleneck_mid, params.bottleneck_base):
+        for conv in (params.down1.conv1, params.bottleneck_mid, params.bottleneck_base):
             conv.weight.data = conv.weight.data[:, perm, :]
         permuted, _ = scene_forward(params, permuted_maps)
         assert np.allclose(base.data, permuted.data, atol=1e-12)
@@ -196,7 +197,7 @@ class TestSceneInvariants:
         params = make_params(hp, seed=15)
         rng = np.random.default_rng(16)
         maps = {g: rng.normal(size=(g * hp.segments, hp.channels)) for g in (1, 2, 3)}
-        tensors = params.tensors()
+        tensors = named_tensors(params, "scene")
         zero_grads(tensors.values())
         scores, _ = scene_forward(params, maps)
         backward(scores.sum())

@@ -6,7 +6,7 @@ import pytest
 from milvad.config import HyperParams, TrainConfig
 from milvad.data.manifest import Dataset
 from milvad.errors import InputError
-from milvad.model import AnomalyScorer
+from milvad.model import PARAM_GROUPS, AnomalyScorer
 from milvad.tensor import Tensor, backward
 from milvad.training import Adam, pair_loss, train, train_step
 
@@ -155,6 +155,51 @@ class TestForward:
         with pytest.raises(InputError):
             train(model, train_ds, TrainConfig(steps=5))
         assert not any(t.requires_grad for t in model.named_parameters().values())
+
+
+# Checkpoint names, in order: group plus dotted dataclass field path.
+DESK_PARAMETER_NAMES = [
+    "scene.down1.conv1.weight", "scene.down1.conv1.bias",
+    "scene.down1.conv2.weight", "scene.down1.conv2.bias",
+    "scene.down2.conv1.weight", "scene.down2.conv1.bias",
+    "scene.down2.conv2.weight", "scene.down2.conv2.bias",
+    "scene.bottleneck_mid.weight", "scene.bottleneck_mid.bias",
+    "scene.bottleneck_base.weight", "scene.bottleneck_base.bias",
+    "scene.lstm.wx", "scene.lstm.wh", "scene.lstm.bias",
+    "scene.ranker.fc1.weight", "scene.ranker.fc1.bias",
+    "scene.ranker.fc2.weight", "scene.ranker.fc2.bias",
+    "scene.ranker.fc3.weight", "scene.ranker.fc3.bias",
+    "human.lstm.wx", "human.lstm.wh", "human.lstm.bias",
+    "human.ranker.fc1.weight", "human.ranker.fc1.bias",
+    "human.ranker.fc2.weight", "human.ranker.fc2.bias",
+    "human.ranker.fc3.weight", "human.ranker.fc3.bias",
+    "coupler.segment.latent_human.weight", "coupler.segment.latent_human.bias",
+    "coupler.segment.latent_scene.weight", "coupler.segment.latent_scene.bias",
+    "coupler.segment.head_human.weight", "coupler.segment.head_human.bias",
+    "coupler.segment.head_scene.weight", "coupler.segment.head_scene.bias",
+    "coupler.video.latent_human.weight", "coupler.video.latent_human.bias",
+    "coupler.video.latent_scene.weight", "coupler.video.latent_scene.bias",
+    "coupler.video.head_human.weight", "coupler.video.head_human.bias",
+    "coupler.video.head_scene.weight", "coupler.video.head_scene.bias",
+]
+
+
+class TestNamedParameters:
+    def test_names_are_pinned(self):
+        names = list(AnomalyScorer(DESK, seed=0).named_parameters())
+        assert len(names) == 46
+        assert names == DESK_PARAMETER_NAMES
+
+    def test_groups_partition_the_names(self):
+        model = AnomalyScorer(DESK, seed=0)
+        joined = [name for group in PARAM_GROUPS for name in model.named_parameters(group)]
+        assert joined == list(model.named_parameters())
+        for group in PARAM_GROUPS:
+            assert all(name.startswith(f"{group}.") for name in model.named_parameters(group))
+
+    def test_unknown_group_rejected(self):
+        with pytest.raises(InputError, match="unknown parameter group"):
+            AnomalyScorer(DESK, seed=0).named_parameters("hyper")
 
 
 class TestCheckpointRoundTrip:
