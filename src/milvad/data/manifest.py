@@ -128,7 +128,9 @@ def _entry(mapping: dict, key: str, kind: type, where: str):
     return value
 
 
-def _load_record(record: dict, manifest_path: Path) -> VideoFeatures:
+def _load_record(record: object, manifest_path: Path, position: int) -> VideoFeatures:
+    if not isinstance(record, dict):
+        raise DatasetError(f"{manifest_path}: video record {position} must be an object, got {record!r}")
     base = manifest_path.parent
     video_id = record.get("id", "<missing id>")
     label = record.get("label")
@@ -185,9 +187,14 @@ def load_dataset(manifest_path) -> Dataset:
         doc = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{manifest_path}: manifest does not parse: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{manifest_path}: manifest must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != MANIFEST_VERSION:
         raise DatasetError(f"{manifest_path}: unsupported manifest version {doc.get('format_version')}")
-    videos = [_load_record(rec, manifest_path) for rec in doc.get("videos", [])]
+    records = doc.get("videos", [])
+    if not isinstance(records, list):
+        raise DatasetError(f"{manifest_path}: 'videos' must be a list, got {type(records).__name__}")
+    videos = [_load_record(rec, manifest_path, i) for i, rec in enumerate(records)]
     if videos:
         t, n = videos[0].segments, videos[0].channels
         for v in videos[1:]:

@@ -107,10 +107,10 @@ def _check_affine(activation):
     return factory
 
 
-def _check_conv(kernel_size, dilation):
+def _check_conv(kernel_size, dilation, input_grad=False):
     def factory(seed=9):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(6, 2)))
+        x = Tensor(rng.normal(size=(6, 2)), requires_grad=input_grad)
         w = uniform_param(rng, (kernel_size, 2, 2), fan_in=kernel_size * 2)
         b = uniform_param(rng, (2,), fan_in=kernel_size * 2)
         return lambda: conv1d(x, w, b, dilation=dilation).sigmoid().sum()
@@ -127,7 +127,7 @@ def _check_lstm(seed=10):
     return lambda: lstm_forward(seq, wx, wh, b).sum()
 
 
-def _check_mgtm(seed=11):
+def _check_mgtm(seed=12):  # a seed whose ReLUs pass a gradient to every parameter
     rng = np.random.default_rng(seed)
     params = SceneStreamParams.create(rng, TINY)
     f1 = Tensor(rng.normal(size=(2, 3)))
@@ -237,6 +237,7 @@ CHECKS = [
     ("conv1d_k5_d4", _check_conv(5, 4)),
     ("conv1d_k3_d8", _check_conv(3, 8)),
     ("conv1d_k1", _check_conv(1, 1)),
+    ("conv1d_k4_d3", _check_conv(4, 3, input_grad=True)),
     ("lstm_forward", _check_lstm),
     ("mgtm_forward", _check_mgtm),
     ("relation_model+tracklet_rank", _check_relation_rank),

@@ -143,19 +143,25 @@ class AnomalyScorer:
         """Rebuild a model from a checkpoint; returns (model, index document)."""
         index_path = Path(index_path)
         doc = json.loads(index_path.read_text())
+        if not isinstance(doc, dict):
+            raise InputError(
+                f"{index_path}: checkpoint index must be a JSON object, got {type(doc).__name__}"
+            )
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise InputError(
                 f"{index_path}: unsupported checkpoint version {doc.get('format_version')}"
             )
         for section in ("hyper", "tensors"):
-            if section not in doc:
-                raise InputError(f"{index_path}: checkpoint index has no {section!r} section")
+            if not isinstance(doc.get(section), dict):
+                raise InputError(f"{index_path}: checkpoint index has no {section!r} object")
         model = cls(RunConfig.from_dict({"hyper": doc["hyper"]}, source=str(index_path)).hyper)
         params = model.named_parameters()
         if set(params) != set(doc["tensors"]):
             missing = sorted(set(params) ^ set(doc["tensors"]))
             raise InputError(f"{index_path}: tensor set mismatch near {missing[:3]}")
         for name, rel in doc["tensors"].items():
+            if not isinstance(rel, str):
+                raise InputError(f"{index_path}: tensor {name} path must be a string, got {rel!r}")
             data = read_feature(index_path.parent / rel)
             if data.shape != params[name].shape:
                 raise InputError(

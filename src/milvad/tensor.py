@@ -13,6 +13,7 @@ visit order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,7 +240,8 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp(-x) -> inf for x << 0 gives s == 0 exactly
+        s = 1.0 / (1.0 + np.exp(-a.data))
 
     def vjp(g):
         gg = g * s * (1.0 - s)
@@ -284,10 +286,12 @@ def matmul(a, b) -> Tensor:
         raise InputError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise InputError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    # no gradient for a constant operand, such as conv1d's (L*k, L) tap matrix
     return _record(
         a.data @ b.data,
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (g @ b.data.T if a.requires_grad else None,
+                   a.data.T @ g if b.requires_grad else None),
     )
 
 
@@ -308,18 +312,6 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def pad_rows(a, before: int, after: int) -> Tensor:
-    """Zero-pad a 2-D tensor along the first (temporal) axis."""
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise InputError(f"pad_rows needs a 2-D tensor, got {a.shape}")
-    if before < 0 or after < 0:
-        raise InputError("pad widths must be nonnegative")
-    rows = a.shape[0]
-    data = np.pad(a.data, ((before, after), (0, 0)))
-    return _record(data, (a,), lambda g: (g[before:before + rows],))
 
 
 def concatenate(tensors, axis: int) -> Tensor:
@@ -395,6 +387,16 @@ def pool(a, axis: int, mode: str) -> Tensor:
     raise InputError(f"unknown pool mode {mode!r}")
 
 
+@lru_cache(maxsize=16)
+def _bin_matrix(rows: int, out_len: int) -> np.ndarray:
+    """Read-only (out_len, rows) matrix; row i is 1/(e-s) on bin i's rows [s, e)."""
+    edges = np.arange(out_len + 1) * rows // out_len
+    member = (edges[:-1, None] <= np.arange(rows)) & (np.arange(rows) < edges[1:, None])
+    bins = member / member.sum(axis=1, keepdims=True)
+    bins.setflags(write=False)
+    return bins
+
+
 def adaptive_mean_rows(a, out_len: int) -> Tensor:
     """Mean-pool the rows of a 2-D tensor into `out_len` floor-formula bins.
 
@@ -407,16 +409,7 @@ def adaptive_mean_rows(a, out_len: int) -> Tensor:
     rows = a.shape[0]
     if not 1 <= out_len <= rows:
         raise InputError(f"cannot pool {rows} rows into {out_len} bins")
-    bins = [(i * rows // out_len, (i + 1) * rows // out_len) for i in range(out_len)]
-    data = np.stack([a.data[s:e].mean(axis=0) for s, e in bins])
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        for i, (s, e) in enumerate(bins):
-            ga[s:e] += g[i] / (e - s)
-        return (ga,)
-
-    return _record(data, (a,), vjp)
+    return matmul(Tensor(_bin_matrix(rows, out_len)), a)
 
 
 # -- composite building blocks ---------------------------------------------
@@ -450,11 +443,23 @@ def affine(x, weight, bias, activation: str = "none") -> Tensor:
     return _activate(add(matmul(x, weight), bias), activation)
 
 
+@lru_cache(maxsize=16)
+def _tap_matrix(length: int, k: int, dilation: int) -> np.ndarray:
+    """Read-only (length*k, length) 0/1 matrix: row t*k + j selects input row
+    t + j*dilation - left, and is zero (the padding) where that row is off the ends."""
+    left = (k - 1) * dilation // 2
+    source = np.arange(length)[:, None] + np.arange(k) * dilation - left
+    taps = (source.reshape(-1, 1) == np.arange(length)).astype(np.float64)
+    taps.setflags(write=False)
+    return taps
+
+
 def conv1d(x, weight, bias, dilation: int = 1) -> Tensor:
     """Dilated 1-D convolution over the rows of x with same-zero padding.
 
     `weight` has shape (k, c_in, c_out); output length equals input length;
-    the receptive span per layer is (k-1)*dilation + 1.
+    the receptive span per layer is (k-1)*dilation + 1. One GEMM applies
+    the (k*c_in, c_out) kernel to each row's k taps, laid side by side.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if weight.ndim != 3:
@@ -471,14 +476,8 @@ def conv1d(x, weight, bias, dilation: int = 1) -> Tensor:
     length = x.shape[0]
     if length < 1:
         raise InputError("conv1d needs at least one input row")
-    span = (k - 1) * dilation
-    left = span // 2
-    padded = pad_rows(x, left, span - left) if span else x
-    out = None
-    for j in range(k):
-        term = matmul(take(padded, slice(j * dilation, j * dilation + length)), weight[j])
-        out = term if out is None else add(out, term)
-    return add(out, bias)
+    cols = reshape(matmul(Tensor(_tap_matrix(length, k, dilation)), x), (length, k * c_in))
+    return add(matmul(cols, reshape(weight, (k * c_in, c_out))), bias)
 
 
 def receptive_span(kernel_size: int, dilation: int) -> int:

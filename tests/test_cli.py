@@ -216,6 +216,39 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(manifest) in err and record["id"] in err and key in err
 
+    @pytest.mark.parametrize("corrupt, where", [
+        (lambda doc: [], "JSON object"),
+        (lambda doc: {**doc, "videos": {"a": 1}}, "'videos'"),
+        (lambda doc: {**doc, "videos": [5]}, "video record 0"),
+        (lambda doc: {**doc, "videos": doc["videos"][:2] + ["x"]}, "video record 2"),
+    ], ids=["list-manifest", "object-videos", "number-record", "string-record"])
+    def test_non_object_manifest_is_dataset_error(self, dataset_dir, trained_dir, tmp_path,
+                                                  corrupt, where, capsys):
+        data = shutil.copytree(dataset_dir, tmp_path / "ds")
+        manifest = data / "test_manifest.json"
+        manifest.write_text(json.dumps(corrupt(json.loads(manifest.read_text()))))
+        code = main(["eval", "--ckpt", str(trained_dir / "checkpoint.json"),
+                     "--data", str(data), "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and where in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [],
+        lambda doc: 5,
+        lambda doc: {**doc, "tensors": list(doc["tensors"])},
+        lambda doc: {**doc, "tensors": dict.fromkeys(doc["tensors"], 5)},
+    ], ids=["list", "number", "tensors-list", "tensor-path-number"])
+    def test_non_object_checkpoint_is_input_error(self, dataset_dir, trained_dir, tmp_path,
+                                                  corrupt, capsys):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        bad = trained_dir / "bad_checkpoint.json"  # beside the payload it references
+        bad.write_text(json.dumps(corrupt(doc)))
+        code = main(["eval", "--ckpt", str(bad), "--data", str(dataset_dir),
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_fresh_build_passes(self, capsys):

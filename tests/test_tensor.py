@@ -1,10 +1,15 @@
 """Tests for the dense-tensor kernel and its recorded adjoints."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from milvad.errors import InputError
+from milvad.gradient_checks import CHECKS
 from milvad.tensor import (
+    Tape,
     Tensor,
     affine,
     adaptive_mean_rows,
@@ -13,11 +18,17 @@ from milvad.tensor import (
     conv1d,
     grad_check,
     lstm_forward,
+    parameter_leaves,
     pool,
     receptive_span,
+    sigmoid,
     stack,
     uniform_param,
 )
+
+# conv1d and adaptive_mean_rows sum in GEMM order, not in the oracles' loop
+# order, so they agree to rounding: entries here are O(10), errors O(1e-15).
+ORACLE_ATOL = 1e-12
 
 
 def _sigmoid(x):
@@ -89,6 +100,45 @@ class TestConv1d:
             conv1d(x, Tensor(np.ones((3, 2, 2))), Tensor(np.ones(2)), dilation=0)
         with pytest.raises(InputError):
             conv1d(x, Tensor(np.ones((3, 5, 2))), Tensor(np.ones(2)))
+
+
+def _conv_oracle(x, w, b, dilation):
+    """out[t] = b + sum_j x[t + j*dilation - left] @ w[j], rows off either end being zero."""
+    k = w.shape[0]
+    left = (k - 1) * dilation // 2
+    out = np.tile(b, (x.shape[0], 1))
+    for t in range(x.shape[0]):
+        for j in range(k):
+            source = t + j * dilation - left
+            if 0 <= source < x.shape[0]:
+                out[t] += x[source] @ w[j]
+    return out
+
+
+class TestConv1dOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(length=st.integers(1, 12), k=st.integers(1, 6), dilation=st.integers(1, 9),
+           c_in=st.integers(1, 4), c_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(length=6, k=5, dilation=4, c_in=3, c_out=2, seed=0)    # the first pyramid layer
+    @example(length=4, k=3, dilation=8, c_in=2, c_out=2, seed=1)    # span 17 over 4 rows
+    @example(length=7, k=4, dilation=3, c_in=2, c_out=3, seed=2)    # even kernel
+    def test_matches_zero_padded_tap_loop(self, length, k, dilation, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(length, c_in))
+        w = rng.normal(size=(k, c_in, c_out))
+        b = rng.normal(size=c_out)
+        got = conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation).data
+        np.testing.assert_allclose(got, _conv_oracle(x, w, b, dilation), rtol=0, atol=ORACLE_ATOL)
+
+    def test_tape_nodes_do_not_grow_with_kernel_size(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        counts = set()
+        for k in (1, 2, 5, 9):
+            w = Tensor(rng.normal(size=(k, 3, 2)), requires_grad=True)
+            b = Tensor(rng.normal(size=2), requires_grad=True)
+            counts.add(len(Tape.trace(conv1d(x, w, b, dilation=2).sum()).nodes))
+        assert len(counts) == 1
 
 
 class TestLstm:
@@ -187,7 +237,38 @@ class TestAdaptiveMeanRows:
             adaptive_mean_rows(Tensor(np.zeros((2, 1))), 3)
 
 
+class TestAdaptiveMeanRowsOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 40), channels=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_slice_means(self, data, rows, channels, seed):
+        out_len = data.draw(st.integers(1, rows), label="out_len")
+        x = np.random.default_rng(seed).normal(size=(rows, channels))
+        expect = np.stack([x[i * rows // out_len:(i + 1) * rows // out_len].mean(axis=0)
+                           for i in range(out_len)])
+        got = adaptive_mean_rows(Tensor(x), out_len).data
+        np.testing.assert_allclose(got, expect, rtol=0, atol=ORACLE_ATOL)
+
+
+class TestSigmoid:
+    def test_saturates_without_overflow_warning(self):
+        x = Tensor(np.array([-1000.0, 0.0, 1000.0]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = sigmoid(x)
+            backward(y.sum())
+        assert np.array_equal(y.data, [0.0, 0.5, 1.0])
+        assert np.array_equal(x.grad, [0.0, 0.25, 0.0])
+
+
 class TestBackward:
+    def test_matmul_adjoint_skips_constant_operand(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = a @ Tensor(np.ones((3, 4)))
+        grad_a, grad_const = y._vjp(np.ones((2, 4)))
+        assert grad_const is None
+        assert np.array_equal(grad_a, np.full((2, 3), 4.0))
+
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.random.default_rng(7).normal(size=(3, 2)), requires_grad=True)
         backward(x.sum())
@@ -272,6 +353,16 @@ class TestGradCheck:
             return pool(squeezed, axis=1, mode="max").sum() + pool(joined, axis=0, mode="mean").mean()
 
         assert grad_check(build) < 1e-4
+
+
+class TestGradientCheckTable:
+    @pytest.mark.parametrize("factory", [f for _, f in CHECKS], ids=[n for n, _ in CHECKS])
+    def test_every_parameter_gets_a_nonzero_gradient(self, factory):
+        # an all-zero gradient, e.g. behind dead ReLUs, is checked against nothing
+        loss = factory()()
+        params = parameter_leaves(loss)
+        backward(loss)
+        assert all(p.grad is not None and np.any(p.grad) for p in params)
 
 
 class TestDeterminism:
