@@ -118,9 +118,9 @@ def _check_conv(kernel_size, dilation, input_grad=False):
     return factory
 
 
-def _check_lstm(seed=10):
+def _check_lstm(seed=10, shape=(3, 2), seq_grad=False):
     rng = np.random.default_rng(seed)
-    seq = Tensor(rng.normal(size=(3, 2)))
+    seq = Tensor(rng.normal(size=shape), requires_grad=seq_grad)
     wx = uniform_param(rng, (2, 8), fan_in=2)
     wh = uniform_param(rng, (2, 8), fan_in=2)
     b = uniform_param(rng, (8,), fan_in=2)
@@ -239,6 +239,7 @@ CHECKS = [
     ("conv1d_k1", _check_conv(1, 1)),
     ("conv1d_k4_d3", _check_conv(4, 3, input_grad=True)),
     ("lstm_forward", _check_lstm),
+    ("lstm_forward_batched", lambda: _check_lstm(shape=(2, 3, 2), seq_grad=True)),
     ("mgtm_forward", _check_mgtm),
     ("relation_model+tracklet_rank", _check_relation_rank),
     ("segment_level_selection", _check_segment_selection),

@@ -16,7 +16,7 @@ import numpy as np
 from .config import HyperParams
 from .errors import InputError
 from .layers import LstmParams, RankerParams
-from .tensor import Tensor, pool, stack
+from .tensor import Tensor, pool
 
 
 @dataclass
@@ -71,14 +71,13 @@ def select_tracklets(tracklets: np.ndarray, keep: int) -> np.ndarray:
 def relation_model(selected: Tensor, params: HumanStreamParams) -> Tensor:
     """Encode tracklet relations per segment.
 
-    `selected` is (T, k^s, n) in ascending-magnitude order; the LSTM runs
-    along the tracklet axis independently for each segment (shared
-    parameters, no state across segments). Returns (T, k^s, hidden).
+    `selected` is (T, k^s, n) in ascending-magnitude order. One LSTM runs
+    along the tracklet axis with the T segments as its batch axis: shared
+    parameters, no state across segments. Returns (T, k^s, hidden).
     """
     if selected.ndim != 3:
         raise InputError(f"relation_model expects (T, k^s, n), got {selected.shape}")
-    per_segment = [params.lstm.apply(selected[i]) for i in range(selected.shape[0])]
-    return stack(per_segment, axis=0)
+    return params.lstm.apply(selected)
 
 
 def tracklet_rank(encoded: Tensor, params: HumanStreamParams) -> tuple[Tensor, Tensor]:

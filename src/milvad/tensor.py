@@ -487,26 +487,32 @@ def receptive_span(kernel_size: int, dilation: int) -> int:
 def lstm_forward(seq, wx, wh, bias) -> Tensor:
     """Single-layer LSTM over the rows of `seq`, emitting every hidden state.
 
-    Gate blocks in `wx`/`wh`/`bias` are ordered input, forget, candidate,
-    output. Initial hidden and cell states are zero; no peepholes.
+    `seq` is (L, C), one sequence, or (B, L, C): B independent sequences
+    (the batch axis) sharing parameters, each stepped along its L rows.
+    Returns (L, hidden) or (B, L, hidden). Gate blocks in `wx`/`wh`/`bias`
+    are ordered input, forget, candidate, output. Initial hidden and cell
+    states are zero; no peepholes. One GEMM projects the inputs of all steps.
     """
     seq, wx, wh, bias = _as_tensor(seq), _as_tensor(wx), _as_tensor(wh), _as_tensor(bias)
-    if seq.ndim != 2:
-        raise InputError(f"lstm_forward expects (L, C) input, got {seq.shape}")
+    if seq.ndim not in (2, 3) or 0 in seq.shape[:-1]:
+        raise InputError(f"lstm_forward expects nonempty (L, C) or (B, L, C) input, got {seq.shape}")
     if wx.ndim != 2 or wh.ndim != 2 or bias.ndim != 1:
         raise InputError("lstm_forward parameter shapes are invalid")
     hidden = wh.shape[0]
-    if wx.shape[0] != seq.shape[1] or wx.shape[1] != 4 * hidden:
+    if wx.shape[0] != seq.shape[-1] or wx.shape[1] != 4 * hidden:
         raise InputError(
             f"lstm_forward wx {wx.shape} incompatible with input {seq.shape} and hidden {hidden}"
         )
     if wh.shape[1] != 4 * hidden or bias.shape[0] != 4 * hidden:
         raise InputError("lstm_forward wh/bias widths must be 4*hidden")
-    h = Tensor(np.zeros((1, hidden)))
-    c = Tensor(np.zeros((1, hidden)))
+    batched = seq.ndim == 3
+    b, length, channels = seq.shape if batched else (1, *seq.shape)
+    zx = reshape(add(matmul(reshape(seq, (b * length, channels)), wx), bias), (b, length, 4 * hidden))
+    h = Tensor(np.zeros((b, hidden)))
+    c = Tensor(np.zeros((b, hidden)))
     outputs = []
-    for t in range(seq.shape[0]):
-        z = add(add(matmul(take(seq, slice(t, t + 1)), wx), matmul(h, wh)), bias)
+    for t in range(length):
+        z = add(take(zx, (slice(None), t)), matmul(h, wh))
         gate_in = sigmoid(take(z, (slice(None), slice(0, hidden))))
         gate_forget = sigmoid(take(z, (slice(None), slice(hidden, 2 * hidden))))
         candidate = tanh(take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
@@ -514,7 +520,8 @@ def lstm_forward(seq, wx, wh, bias) -> Tensor:
         c = add(mul(gate_forget, c), mul(gate_in, candidate))
         h = mul(gate_out, tanh(c))
         outputs.append(h)
-    return concatenate(outputs, axis=0)
+    out = stack(outputs, axis=1)
+    return out if batched else reshape(out, (length, hidden))
 
 
 # -- verification ------------------------------------------------------------

@@ -7,7 +7,7 @@ from milvad.config import HyperParams, TrainConfig
 from milvad.data.manifest import Dataset
 from milvad.errors import InputError
 from milvad.model import PARAM_GROUPS, AnomalyScorer
-from milvad.tensor import Tensor, backward
+from milvad.tensor import Tape, Tensor, backward
 from milvad.training import Adam, pair_loss, train, train_step
 
 DESK = HyperParams.desk_scale()
@@ -109,6 +109,15 @@ class TestTrainSchedules:
         for group in ("scene", "human", "coupler"):
             grads = [t.grad for t in model.named_parameters(group).values()]
             assert any(g is not None and np.any(g != 0) for g in grads), group
+
+    def test_fused_pair_tape_stays_small(self, tiny_scene_data):
+        # one relation LSTM batched over the segments and one input GEMM per
+        # LSTM give 629 nodes; one LSTM per segment and one per step give 1,199
+        train_ds, _, _ = tiny_scene_data
+        model = AnomalyScorer(DESK, seed=0)
+        model.set_trainable(PARAM_GROUPS)
+        loss = pair_loss(model, train_ds.anomalies()[0], train_ds.normals()[0], TrainConfig(), "fused")
+        assert len(Tape.trace(loss).nodes) <= 650
 
     def test_single_class_dataset_rejected(self, tiny_scene_data):
         train_ds, _, _ = tiny_scene_data
