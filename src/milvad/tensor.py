@@ -83,9 +83,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, idx):
-        return take(self, idx)
-
     # -- elementwise / reductions -------------------------------------------
 
     def relu(self):
@@ -238,10 +235,14 @@ def relu(a) -> Tensor:
     return _record(a.data * mask, (a,), lambda g: (g * mask,))
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-x) -> inf for x << 0 gives s == 0 exactly
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(over="ignore"):  # exp(-x) -> inf for x << 0 gives s == 0 exactly
-        s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _logistic(a.data)
 
     def vjp(g):
         gg = g * s * (1.0 - s)
@@ -295,19 +296,6 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def take(a, idx) -> Tensor:
-    """Basic (int/slice) indexing with gradient scatter."""
-    a = _as_tensor(a)
-    data = a.data[idx]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[idx] += g
-        return (ga,)
-
-    return _record(data, (a,), vjp)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
@@ -336,20 +324,6 @@ def concatenate(tensors, axis: int) -> Tensor:
 
     def vjp(g):
         return tuple(np.split(g, splits, axis=ax))
-
-    return _record(data, tensors, vjp)
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    shapes = {t.shape for t in tensors}
-    if len(shapes) != 1:
-        raise InputError(f"stack needs equal shapes, got {sorted(shapes)}")
-    data = np.stack([t.data for t in tensors], axis=axis)
-    ax = axis if axis >= 0 else axis + data.ndim
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=ax) for i in range(len(tensors)))
 
     return _record(data, tensors, vjp)
 
@@ -480,10 +454,6 @@ def conv1d(x, weight, bias, dilation: int = 1) -> Tensor:
     return add(matmul(cols, reshape(weight, (k * c_in, c_out))), bias)
 
 
-def receptive_span(kernel_size: int, dilation: int) -> int:
-    return (kernel_size - 1) * dilation + 1
-
-
 def lstm_forward(seq, wx, wh, bias) -> Tensor:
     """Single-layer LSTM over the rows of `seq`, emitting every hidden state.
 
@@ -492,6 +462,11 @@ def lstm_forward(seq, wx, wh, bias) -> Tensor:
     Returns (L, hidden) or (B, L, hidden). Gate blocks in `wx`/`wh`/`bias`
     are ordered input, forget, candidate, output. Initial hidden and cell
     states are zero; no peepholes. One GEMM projects the inputs of all steps.
+
+    The LSTM is one recorded node. Its adjoint runs backpropagation through
+    time by hand, writing every step's gate gradient into one buffer, and
+    then forms the `seq`, `wx` and `wh` gradients in one GEMM each and the
+    bias gradient in one sum; a constant operand gets no gradient.
     """
     seq, wx, wh, bias = _as_tensor(seq), _as_tensor(wx), _as_tensor(wh), _as_tensor(bias)
     if seq.ndim not in (2, 3) or 0 in seq.shape[:-1]:
@@ -507,21 +482,51 @@ def lstm_forward(seq, wx, wh, bias) -> Tensor:
         raise InputError("lstm_forward wh/bias widths must be 4*hidden")
     batched = seq.ndim == 3
     b, length, channels = seq.shape if batched else (1, *seq.shape)
-    zx = reshape(add(matmul(reshape(seq, (b * length, channels)), wx), bias), (b, length, 4 * hidden))
-    h = Tensor(np.zeros((b, hidden)))
-    c = Tensor(np.zeros((b, hidden)))
-    outputs = []
+    rows = seq.data.reshape(b * length, channels)
+    zx = (rows @ wx.data + bias.data).reshape(b, length, 4 * hidden)
+    gates = np.empty_like(zx)  # i, f, g, o after their nonlinearities
+    cells = np.empty((b, length, hidden))
+    tanh_cells = np.empty_like(cells)
+    out = np.empty_like(cells)
+    h = c = np.zeros((b, hidden))
     for t in range(length):
-        z = add(take(zx, (slice(None), t)), matmul(h, wh))
-        gate_in = sigmoid(take(z, (slice(None), slice(0, hidden))))
-        gate_forget = sigmoid(take(z, (slice(None), slice(hidden, 2 * hidden))))
-        candidate = tanh(take(z, (slice(None), slice(2 * hidden, 3 * hidden))))
-        gate_out = sigmoid(take(z, (slice(None), slice(3 * hidden, 4 * hidden))))
-        c = add(mul(gate_forget, c), mul(gate_in, candidate))
-        h = mul(gate_out, tanh(c))
-        outputs.append(h)
-    out = stack(outputs, axis=1)
-    return out if batched else reshape(out, (length, hidden))
+        z = zx[:, t] + h @ wh.data
+        gates[:, t] = _logistic(z)
+        gates[:, t, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
+        gate_in, gate_forget, candidate, gate_out = np.split(gates[:, t], 4, axis=1)
+        c = cells[:, t] = gate_forget * c + gate_in * candidate
+        tanh_cells[:, t] = np.tanh(c)
+        h = out[:, t] = gate_out * tanh_cells[:, t]
+
+    def vjp(g_out):
+        g_out = g_out.reshape(out.shape)
+        dz = np.empty_like(gates)  # gradient of each step's pre-activation gates
+        dh = dc = np.zeros((b, hidden))  # carried back from step t + 1
+        for t in reversed(range(length)):
+            gate_in, gate_forget, candidate, gate_out = np.split(gates[:, t], 4, axis=1)
+            tanh_c = tanh_cells[:, t]
+            c_prev = cells[:, t - 1] if t else 0.0
+            dh = g_out[:, t] + dh
+            dc = dh * gate_out * (1.0 - tanh_c * tanh_c) + dc
+            dz[:, t] = np.concatenate([
+                dc * candidate * gate_in * (1.0 - gate_in),
+                dc * c_prev * gate_forget * (1.0 - gate_forget),
+                dc * gate_in * (1.0 - candidate * candidate),
+                dh * tanh_c * gate_out * (1.0 - gate_out),
+            ], axis=1)
+            dc = dc * gate_forget
+            dh = dz[:, t] @ wh.data.T
+        dz_rows = dz.reshape(b * length, 4 * hidden)
+        # step 0 sees h = 0, so only steps 1.. contribute to the wh gradient
+        h_prev = out[:, :-1].reshape(-1, hidden)
+        return (
+            (dz_rows @ wx.data.T).reshape(seq.shape) if seq.requires_grad else None,
+            rows.T @ dz_rows if wx.requires_grad else None,
+            h_prev.T @ dz[:, 1:].reshape(-1, 4 * hidden) if wh.requires_grad else None,
+            dz_rows.sum(axis=0) if bias.requires_grad else None,
+        )
+
+    return _record(out if batched else out.reshape(length, hidden), (seq, wx, wh, bias), vjp)
 
 
 # -- verification ------------------------------------------------------------

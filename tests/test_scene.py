@@ -68,7 +68,7 @@ class TestBottleneck:
         conv = params.bottleneck_base
         x = np.random.default_rng(5).normal(size=(1, DESK.channels))
         got = bottleneck(Tensor(x), conv).data
-        want = affine(Tensor(x), conv.weight[0], conv.bias, "relu").data
+        want = affine(Tensor(x), Tensor(conv.weight.data[0]), conv.bias, "relu").data
         assert np.allclose(got, want)
 
 
