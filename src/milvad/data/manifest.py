@@ -73,14 +73,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.videos)
 
-    @property
-    def segments(self) -> int:
-        return self.videos[0].segments
-
-    @property
-    def channels(self) -> int:
-        return self.videos[0].channels
-
     def anomalies(self) -> list[VideoFeatures]:
         return [v for v in self.videos if v.is_anomaly()]
 

@@ -22,10 +22,6 @@ from .errors import InputError
 
 ACTIVATIONS = ("none", "relu", "sigmoid", "tanh")
 
-# Test hook: set to an op name ("sigmoid") to deliberately corrupt that
-# op's adjoint. Used only by the gradcheck fault-injection test.
-_CORRUPT_ADJOINT: str | None = None
-
 
 class Tensor:
     """Dense float64 array participating in a recorded computation."""
@@ -140,10 +136,8 @@ class Tape:
                     stack.append((parent, False))
         return cls(order)
 
-    def replay(self, output: Tensor, seed: np.ndarray | None = None) -> None:
-        grads: dict[int, np.ndarray] = {
-            id(output): np.ones_like(output.data) if seed is None else seed
-        }
+    def replay(self, output: Tensor) -> None:
+        grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
         for node in reversed(self.nodes):
             g = grads.pop(id(node), None)
             if g is None:
@@ -243,14 +237,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     s = _logistic(a.data)
-
-    def vjp(g):
-        gg = g * s * (1.0 - s)
-        if _CORRUPT_ADJOINT == "sigmoid":
-            gg = gg * 1.5
-        return (gg,)
-
-    return _record(s, (a,), vjp)
+    return _record(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def tanh(a) -> Tensor:

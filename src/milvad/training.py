@@ -1,4 +1,4 @@
-"""MIL bag training: optimizer, single pair steps, staged/joint schedules."""
+"""MIL bag training: optimizer, the training step, staged/joint schedules."""
 
 from __future__ import annotations
 
@@ -73,44 +73,19 @@ def pair_loss(model: AnomalyScorer, anomaly: VideoFeatures, normal: VideoFeature
     )
 
 
-def train_step(model: AnomalyScorer, anomaly: VideoFeatures, normal: VideoFeatures,
-               cfg: TrainConfig, optimizer: Adam, head: str | None = None) -> float:
-    """One optimization step on a single (anomaly, normal) pair."""
+def train_step(model: AnomalyScorer, pairs: list[tuple[VideoFeatures, VideoFeatures]],
+               cfg: TrainConfig, optimizer: Adam, head: str) -> float:
+    """One optimization step on the mean loss of (anomaly, normal) pairs."""
     optimizer.zero_grad()
-    loss = pair_loss(model, anomaly, normal, cfg, head or cfg.head)
-    backward(loss)
+    value = 0.0
+    for anomaly, normal in pairs:
+        loss = pair_loss(model, anomaly, normal, cfg, head)
+        if len(pairs) > 1:
+            loss = loss * (1.0 / len(pairs))
+        backward(loss)
+        value += loss.item()
     optimizer.step()
-    return loss.item()
-
-
-def _sample_pair(rng: np.random.Generator, anomalies, normals):
-    a = anomalies[int(rng.integers(len(anomalies)))]
-    n = normals[int(rng.integers(len(normals)))]
-    return a, n
-
-
-def _run_phase(model, dataset_split, cfg, phase, groups, head, steps, rng, offset, result):
-    anomalies, normals = dataset_split
-    model.set_trainable(groups)
-    optimizer = Adam(
-        {name: t for g in groups for name, t in model.named_parameters(g).items()},
-        cfg.learning_rate, cfg.betas,
-    )
-    for local_step in range(steps):
-        optimizer.zero_grad()
-        value = 0.0
-        for _ in range(cfg.pair_batch):
-            a, n = _sample_pair(rng, anomalies, normals)
-            loss = pair_loss(model, a, n, cfg, head)
-            if cfg.pair_batch > 1:
-                loss = loss * (1.0 / cfg.pair_batch)
-            backward(loss)
-            value += loss.item()
-        optimizer.step()
-        step = offset + local_step
-        result.losses.append(value)
-        result.log_lines.append(f"step={step} phase={phase} loss={value:.6f}")
-    return offset + steps
+    return value
 
 
 def _stage_steps(cfg: TrainConfig) -> list[int]:
@@ -125,10 +100,11 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
     Staged mode trains the scene stream against its own scores, then the
     human stream, then the coupler with both streams frozen. Joint mode
     trains everything against the configured head at once. Each step
-    samples one anomaly and one normal video uniformly with the seeded
-    generator; identical seeds give identical loss traces. The model
-    leaves with every parameter frozen, even when training raises, so
-    scoring records no graph.
+    samples `cfg.pair_batch` (anomaly, normal) pairs uniformly with the
+    seeded generator and runs one `train_step` on their mean loss;
+    identical seeds give identical loss traces. The model leaves with
+    every parameter frozen, even when training raises, so scoring records
+    no graph.
     """
     cfg.validate()
     anomalies, normals = dataset.anomalies(), dataset.normals()
@@ -138,7 +114,6 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
         )
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(losses=[], phase_boundaries=[])
-    split = (anomalies, normals)
     if cfg.schedule == "joint":
         phases = [("joint", PARAM_GROUPS, cfg.head, cfg.steps)]
     else:
@@ -148,7 +123,19 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
         for name, groups, head, steps in phases:
             result.phase_boundaries.append((offset, name))
             result.log_lines.append(f"phase {name} start step={offset} head={head}")
-            offset = _run_phase(model, split, cfg, name, groups, head, steps, rng, offset, result)
+            model.set_trainable(groups)
+            optimizer = Adam(
+                {key: t for g in groups for key, t in model.named_parameters(g).items()},
+                cfg.learning_rate, cfg.betas,
+            )
+            for step in range(offset, offset + steps):
+                pairs = [(anomalies[int(rng.integers(len(anomalies)))],
+                          normals[int(rng.integers(len(normals)))])
+                         for _ in range(cfg.pair_batch)]
+                value = train_step(model, pairs, cfg, optimizer, head)
+                result.losses.append(value)
+                result.log_lines.append(f"step={step} phase={name} loss={value:.6f}")
+            offset += steps
     finally:
         model.set_trainable(())
     return result

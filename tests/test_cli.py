@@ -258,7 +258,17 @@ class TestGradcheck:
         assert "FAIL" not in out
 
     def test_corrupted_adjoint_reported(self, monkeypatch, capsys):
-        monkeypatch.setattr(milvad.tensor, "_CORRUPT_ADJOINT", "sigmoid")
+        sigmoid = milvad.tensor.sigmoid
+
+        def corrupted_sigmoid(a):
+            out = sigmoid(a)
+            if out._vjp is not None:
+                vjp = out._vjp
+                out._vjp = lambda g: tuple(1.5 * pg for pg in vjp(g))
+            return out
+
+        # Tensor.sigmoid and affine's activation look `sigmoid` up at call time
+        monkeypatch.setattr(milvad.tensor, "sigmoid", corrupted_sigmoid)
         assert main(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
 

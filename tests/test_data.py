@@ -149,8 +149,7 @@ class TestManifest:
         _, manifests, spec = scene_dataset_dir
         train = load_dataset(manifests["train"])
         assert len(train) == spec.train_normal + spec.train_anomaly
-        assert train.segments == spec.segments
-        assert train.channels == spec.channels
+        assert all(v.segments == spec.segments and v.channels == spec.channels for v in train)
         assert len(train.anomalies()) == spec.train_anomaly
         video = train.videos[0]
         assert video.scene[2].shape == (2 * spec.segments, spec.channels)

@@ -39,7 +39,7 @@ class TestTrainStep:
         before = {k: v.data.copy() for k, v in model.named_parameters().items()}
         cfg = TrainConfig(learning_rate=1e-30)
         opt = Adam(model.named_parameters(), learning_rate=0.0)
-        train_step(model, train_ds.anomalies()[0], train_ds.normals()[0], cfg, opt)
+        train_step(model, [(train_ds.anomalies()[0], train_ds.normals()[0])], cfg, opt, "fused")
         after = model.named_parameters()
         assert all(np.array_equal(before[k], after[k].data) for k in before)
 
@@ -51,7 +51,7 @@ class TestTrainStep:
                           context_weight=0.5, instance_weight=2.0)
         opt = Adam(model.named_parameters("scene"), cfg.learning_rate, cfg.betas)
         anomaly, normal = train_ds.anomalies()[0], train_ds.normals()[0]
-        losses = [train_step(model, anomaly, normal, cfg, opt, head="scene")
+        losses = [train_step(model, [(anomaly, normal)], cfg, opt, "scene")
                   for _ in range(200)]
         assert losses[-1] < losses[0]
 
@@ -62,7 +62,8 @@ class TestTrainStep:
         cfg = TrainConfig()
         opt = Adam(model.named_parameters(), cfg.learning_rate)
         with pytest.raises(InputError):
-            train_step(model, train_ds.anomalies()[0], train_ds.normals()[0], cfg, opt)
+            train_step(model, [(train_ds.anomalies()[0], train_ds.normals()[0])], cfg, opt,
+                       "fused")
 
 
 class TestTrainSchedules:
@@ -126,10 +127,26 @@ class TestTrainSchedules:
             train(model, Dataset(train_ds.normals()), TrainConfig(steps=5))
 
     def test_pair_batch_averages(self, tiny_scene_data):
+        # one train_step over two pairs gives the mean loss and mean gradient
+        # of the two pairs taken one at a time at the same parameters
         train_ds, _, _ = tiny_scene_data
         model = AnomalyScorer(DESK, seed=4)
-        result = train(model, train_ds, TrainConfig(steps=5, pair_batch=3, seed=4))
-        assert len(result.losses) == 5
+        cfg = TrainConfig()
+        pairs = [(train_ds.anomalies()[i], train_ds.normals()[i]) for i in (0, 1)]
+        params = model.named_parameters()
+        losses, grads = [], []
+        for anomaly, normal in pairs:
+            model.set_trainable(PARAM_GROUPS)  # also clears .grad
+            loss = pair_loss(model, anomaly, normal, cfg, "fused")
+            backward(loss)
+            losses.append(loss.item())
+            grads.append({k: t.grad for k, t in params.items()})
+        assert losses[0] != losses[1]
+        value = train_step(model, pairs, cfg, Adam(params, learning_rate=0.0), "fused")
+        assert value == pytest.approx((losses[0] + losses[1]) / 2, rel=1e-15)
+        for k, t in params.items():
+            np.testing.assert_allclose(t.grad, (grads[0][k] + grads[1][k]) / 2,
+                                       rtol=1e-12, err_msg=k)
 
 
 class TestForward:
