@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -119,23 +121,43 @@ class AnomalyScorer:
     # -- checkpoints -----------------------------------------------------
 
     def save(self, index_path, extra: dict | None = None) -> Path:
-        """Write a checkpoint: JSON index plus one container file per tensor."""
+        """Write a checkpoint: JSON index plus one container file per tensor.
+
+        The payload directory and the index are written under temporary
+        names and then renamed into place, so a failed save leaves any
+        previous checkpoint at `index_path` as it was.
+        """
         index_path = Path(index_path)
         payload_dir = index_path.with_suffix(".tensors")
-        payload_dir.mkdir(parents=True, exist_ok=True)
-        tensors = {}
-        for name, tensor in sorted(self.named_parameters().items()):
-            rel = f"{payload_dir.name}/{name.replace('.', '_')}.hsnf"
-            write_feature(index_path.parent / rel, tensor.data)
-            tensors[name] = rel
-        doc = {
-            "format_version": CHECKPOINT_VERSION,
-            "hyper": asdict(self.hyper),
-            "tensors": tensors,
-        }
-        if extra:
-            doc.update(extra)
-        index_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        tag = f".{index_path.stem}.{os.getpid()}"
+        staging = index_path.with_name(f"{tag}.tensors.tmp")
+        index_tmp = index_path.with_name(f"{tag}.json.tmp")
+        retired = index_path.with_name(f"{tag}.tensors.old")
+        for stale in (staging, retired):  # left by a killed save with this pid
+            shutil.rmtree(stale, ignore_errors=True)
+        staging.mkdir(parents=True)
+        try:
+            tensors = {}
+            for name, tensor in sorted(self.named_parameters().items()):
+                file = f"{name.replace('.', '_')}.hsnf"
+                write_feature(staging / file, tensor.data)
+                tensors[name] = f"{payload_dir.name}/{file}"
+            doc = {
+                "format_version": CHECKPOINT_VERSION,
+                "hyper": asdict(self.hyper),
+                "tensors": tensors,
+            }
+            if extra:
+                doc.update(extra)
+            index_tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            if payload_dir.exists():
+                payload_dir.rename(retired)
+            staging.rename(payload_dir)
+            index_tmp.replace(index_path)
+            shutil.rmtree(retired, ignore_errors=True)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+            index_tmp.unlink(missing_ok=True)
         return index_path
 
     @classmethod

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +14,9 @@ from .losses import BagPair, classical_ranking_loss, self_rectifying_loss
 from .model import PARAM_GROUPS, AnomalyScorer
 from .tensor import Tensor, backward
 
+# elements per Adam update block: six float64 blocks of it fit a 2 MB L2
+BLOCK = 1 << 15
+
 # (name, parameter groups, score head) per staged phase
 STAGES = (
     ("scene", ("scene",), "scene"),
@@ -22,7 +26,16 @@ STAGES = (
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction (Kingma & Ba, 2015).
+
+    Each parameter is updated in place, `BLOCK` elements at a time, so that
+    a block of the gradient, both moments, the data and two scratch rows
+    stay in cache. The operations and their order are those of
+    `data - lr * (m / c1) / (sqrt(v / c2) + eps)`, so the result is
+    bit-identical to that expression. `.data` and `.grad` are read afresh
+    each step: `.data` may be replaced between steps by any writable
+    C-contiguous array of the same shape.
+    """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -31,21 +44,45 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in self.params.items()}
-        self._v = {name: np.zeros_like(t.data) for name, t in self.params.items()}
+        width = min(BLOCK, max((t.size for t in self.params.values()), default=0))
+        scratch = np.empty((2, width))
+        # per parameter: (span, m block, v block, step scratch, denominator scratch)
+        self._blocks = {}
+        for name, t in self.params.items():
+            if not (t.data.flags.c_contiguous and t.data.flags.writeable):
+                raise InputError(
+                    f"parameter {name}: data must be a writable C-contiguous array to update in place"
+                )
+            m, v = np.zeros(t.size), np.zeros(t.size)
+            spans = (slice(lo, min(lo + BLOCK, t.size)) for lo in range(0, t.size, BLOCK))
+            self._blocks[name] = [(span, m[span], v[span], *scratch[:, :span.stop - span.start])
+                                  for span in spans]
 
     def step(self) -> None:
         self.step_count += 1
-        correction1 = 1.0 - self.beta1 ** self.step_count
-        correction2 = 1.0 - self.beta2 ** self.step_count
+        beta1, beta2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        correction1 = 1.0 - beta1 ** self.step_count
+        correction2 = 1.0 - beta2 ** self.step_count
         for name, t in self.params.items():
             if t.grad is None:
                 continue
-            m = self._m[name] = self.beta1 * self._m[name] + (1.0 - self.beta1) * t.grad
-            v = self._v[name] = self.beta2 * self._v[name] + (1.0 - self.beta2) * t.grad ** 2
-            t.data = t.data - self.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + self.eps
-            )
+            grad, data = t.grad.reshape(-1), t.data.reshape(-1)
+            for span, m, v, s, d in self._blocks[name]:
+                g = grad[span]
+                m *= beta1
+                np.multiply(g, 1.0 - beta1, out=s)
+                m += s
+                v *= beta2
+                np.multiply(g, g, out=s)
+                s *= 1.0 - beta2
+                v += s
+                np.divide(m, correction1, out=s)
+                s *= lr
+                np.divide(v, correction2, out=d)
+                np.sqrt(d, out=d)
+                d += eps
+                s /= d
+                data[span] -= s
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -102,9 +139,10 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
     trains everything against the configured head at once. Each step
     samples `cfg.pair_batch` (anomaly, normal) pairs uniformly with the
     seeded generator and runs one `train_step` on their mean loss;
-    identical seeds give identical loss traces. The model leaves with
-    every parameter frozen, even when training raises, so scoring records
-    no graph.
+    identical seeds give identical loss traces. A non-finite loss raises
+    `InputError` naming the step, the phase and the last finite loss. The
+    model leaves with every parameter frozen, even when training raises,
+    so scoring records no graph.
     """
     cfg.validate()
     anomalies, normals = dataset.anomalies(), dataset.normals()
@@ -133,6 +171,12 @@ def train(model: AnomalyScorer, dataset: Dataset, cfg: TrainConfig) -> TrainResu
                           normals[int(rng.integers(len(normals)))])
                          for _ in range(cfg.pair_batch)]
                 value = train_step(model, pairs, cfg, optimizer, head)
+                if not math.isfinite(value):
+                    last = f"{result.losses[-1]:.6g}" if result.losses else "none"
+                    raise InputError(
+                        f"training step {step} ({name} phase): loss is {value}; "
+                        f"last finite loss {last}"
+                    )
                 result.losses.append(value)
                 result.log_lines.append(f"step={step} phase={name} loss={value:.6f}")
             offset += steps

@@ -6,6 +6,7 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import milvad.tensor
@@ -135,6 +136,16 @@ class TestTrain:
         assert '"loss": "classical_ranking"' in log.splitlines()[0]
         ckpt = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
         assert ckpt["train"]["loss"] == "classical_ranking"
+
+    def test_non_finite_loss_fails_without_checkpoint(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", steps=6, schedule="joint",
+                           learning_rate=1e200)
+        with np.errstate(invalid="ignore", over="ignore"):
+            code = main(["train", "--config", str(cfg), "--data", str(dataset_dir),
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert not (tmp_path / "run").exists()
+        assert "last finite loss" in capsys.readouterr().err
 
     def test_missing_data_dir_fails_without_partial_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import milvad.model
+from milvad import training
 from milvad.config import HyperParams, TrainConfig
 from milvad.data.manifest import Dataset
 from milvad.errors import InputError
@@ -29,6 +32,60 @@ class TestAdam:
         opt = Adam({"t": t}, learning_rate=0.1)
         opt.step()
         assert np.array_equal(t.data, np.ones(3))
+
+
+def _adam_oracle(data, m, v, grad, count, lr, betas, eps):
+    """One Adam update as the out-of-place expression: (data, m, v)."""
+    beta1, beta2 = betas
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad ** 2
+    step = lr * (m / (1.0 - beta1 ** count)) / (np.sqrt(v / (1.0 - beta2 ** count)) + eps)
+    return data - step, m, v
+
+
+class TestAdamOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block=st.integers(1, 9),
+           shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=4),
+           steps=st.integers(1, 4), lr=st.sampled_from([1e-3, 0.1, 2.0]),
+           betas=st.sampled_from([(0.9, 0.999), (0.5, 0.75)]), seed=st.integers(0, 2**31))
+    def test_blocked_update_is_bit_equal_to_the_expression(self, block, shapes, steps, lr, betas,
+                                                          seed):
+        # sizes 1..36 against blocks of 1..9 put block edges inside, at the end
+        # of and beyond each parameter; some steps carry no gradient and some
+        # a transposed (non-contiguous) one
+        rng = np.random.default_rng(seed)
+        params = {f"p{i}": Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for i, shape in enumerate(shapes)}
+        arrays = {name: t.data for name, t in params.items()}
+        expected = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
+                    for name, t in params.items()}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "BLOCK", block)
+            opt = Adam(params, lr, betas)
+        for count in range(1, steps + 1):
+            for name, t in params.items():
+                draw = rng.integers(3)
+                if draw == 0:
+                    t.grad = None
+                    continue
+                rows, cols = t.shape
+                t.grad = (rng.standard_normal((cols, rows)).T if draw == 1
+                          else rng.standard_normal((rows, cols)))
+                expected[name] = _adam_oracle(*expected[name], t.grad, count, lr, betas, 1e-8)
+            opt.step()
+            for name, t in params.items():
+                assert t.data is arrays[name]
+                assert t.data.tobytes() == expected[name][0].tobytes(), (name, count)
+
+    def test_noncontiguous_or_readonly_data_rejected(self):
+        readonly = np.zeros(3)
+        readonly.flags.writeable = False
+        for bad in (np.zeros((3, 2)).T, readonly):
+            t = Tensor(np.zeros(1), requires_grad=True)
+            t.data = bad
+            with pytest.raises(InputError, match="parameter w"):
+                Adam({"ok": Tensor(np.zeros(2)), "w": t}, learning_rate=0.1)
 
 
 class TestTrainStep:
@@ -119,6 +176,31 @@ class TestTrainSchedules:
         model.set_trainable(PARAM_GROUPS)
         loss = pair_loss(model, train_ds.anomalies()[0], train_ds.normals()[0], TrainConfig(), "fused")
         assert len(Tape.trace(loss).nodes) <= 300
+
+    def test_non_finite_loss_names_step_phase_and_last_loss(self, tiny_scene_data):
+        train_ds, _, _ = tiny_scene_data
+        model = AnomalyScorer(DESK, seed=0)
+        cfg = TrainConfig(steps=6, schedule="joint", head="fused", learning_rate=1e200)
+        with pytest.raises(InputError, match=r"step 1 \(joint phase\).*nan.*last finite loss 1\.2"):
+            with np.errstate(invalid="ignore", over="ignore"):
+                train(model, train_ds, cfg)
+        assert not any(t.requires_grad for t in model.named_parameters().values())
+
+    def test_loaded_model_trains_in_place_like_a_built_one(self, tiny_scene_data, tmp_path):
+        # load, then coupler-only training: the path a restored checkpoint takes
+        train_ds, _, _ = tiny_scene_data
+        restored, _ = AnomalyScorer.load(AnomalyScorer(DESK, seed=8).save(tmp_path / "c.json"))
+        arrays = {k: t.data for k, t in restored.named_parameters().items()}
+        built = AnomalyScorer(DESK, seed=8)
+        cfg = TrainConfig(steps=6, stage_fractions=(0.0, 0.0, 1.0), seed=8)
+        runs = [train(m, train_ds, cfg).losses for m in (restored, built)]
+        assert [x.hex() for x in runs[0]] == [x.hex() for x in runs[1]]
+        initial = AnomalyScorer(DESK, seed=8).named_parameters()
+        for k, t in restored.named_parameters().items():
+            assert t.data is arrays[k]
+            assert t.data.tobytes() == built.named_parameters()[k].data.tobytes(), k
+            # the coupler moved and the frozen streams did not
+            assert np.array_equal(t.data, initial[k].data) != k.startswith("coupler."), k
 
     def test_single_class_dataset_rejected(self, tiny_scene_data):
         train_ds, _, _ = tiny_scene_data
@@ -242,6 +324,29 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(a.fused, b.fused)
             assert np.array_equal(a.scene, b.scene)
             assert np.array_equal(a.tracklet, b.tracklet)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        old, new = AnomalyScorer(DESK, seed=0), AnomalyScorer(DESK, seed=1)
+        ckpt = old.save(tmp_path / "checkpoint.json")
+        (tmp_path / "checkpoint.tensors" / "stale.hsnf").write_bytes(b"")
+        new.save(ckpt)  # a whole new payload replaces the old one
+        assert not (tmp_path / "checkpoint.tensors" / "stale.hsnf").exists()
+        real_write, calls = milvad.model.write_feature, []
+
+        def failing_write(path, array):
+            calls.append(path)
+            if len(calls) == 10:
+                raise OSError("no space left on device")
+            real_write(path, array)
+
+        monkeypatch.setattr(milvad.model, "write_feature", failing_write)
+        with pytest.raises(OSError, match="no space"):
+            old.save(ckpt)
+        restored, _ = AnomalyScorer.load(ckpt)
+        for k, t in restored.named_parameters().items():
+            assert np.array_equal(t.data, new.named_parameters()[k].data), k
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "checkpoint.tensors"]
+        assert len(list((tmp_path / "checkpoint.tensors").iterdir())) == len(DESK_PARAMETER_NAMES)
 
     def test_shape_mismatch_names_tensor(self, tmp_path):
         model = AnomalyScorer(DESK, seed=0)
